@@ -9,9 +9,11 @@ package makes those sweeps fast and repeatable:
 * :class:`ResultCache` — content-addressed on-disk records, keyed by
   a canonical hash of (job, system, planner config, fault schedule,
   plan, code salt);
-* :class:`SweepRuntime` — fans tasks over a process pool with
-  worker-crash retry and exclusion, deterministic result ordering,
-  and structured progress reporting;
+* :class:`TaskExecutor` — resolves one task through the cache,
+  in-flight coalescing, a persistent process pool and worker-crash
+  retry with exclusion; ``repro serve`` shares one across requests;
+* :class:`SweepRuntime` — fans a sweep's tasks over an executor with
+  deterministic result ordering and structured progress reporting;
 * :mod:`repro.runtime.presets` — the named grids of the paper's
   figures, shared by the CLI and the benchmark suite.
 
@@ -24,6 +26,7 @@ from repro.runtime.pool import (
     RuntimeConfig,
     RuntimeReport,
     SweepRuntime,
+    TaskExecutor,
     TaskOutcome,
     run_tasks,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "RuntimeConfig",
     "RuntimeReport",
     "SweepRuntime",
+    "TaskExecutor",
     "TaskOutcome",
     "run_tasks",
     "preset_tasks",

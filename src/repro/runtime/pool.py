@@ -1,28 +1,38 @@
-"""The sweep runtime: fan tasks over a process pool, cache results.
+"""The sweep runtime: one task executor behind both ways of sweeping.
 
-``SweepRuntime.run(tasks)`` resolves every task, in three layers:
+:class:`TaskExecutor` resolves one task at a time and is thread-safe.
+``repro serve`` calls it from its dispatcher threads for the life of
+the server; :class:`SweepRuntime` calls it from ``jobs`` threads for
+one sweep and closes it before returning.  A task resolves through:
 
-1. **cache** — tasks whose content address is already on disk return
-   instantly, without touching a worker;
-2. **pool** — remaining tasks fan out over ``jobs`` worker processes
-   (``jobs=1`` runs inline, no pool, for determinism and debugging);
-3. **retry with exclusion** — a task whose worker raised (or died and
-   broke the pool) is retried in a fresh pool generation up to
-   ``retries`` times; a task that exhausts its retries is *excluded*
-   from the pool and attempted once inline in the parent, so one
-   poisoned config can never wedge the whole sweep.  Persistent
-   errors are recorded per-task, not raised.
+1. **cache** — a task whose content address is already on disk
+   returns instantly, re-labelled with the caller's label;
+2. **coalescing** — concurrent requests for one content address run
+   *one* simulation; the others wait for the owner's outcome;
+3. **pool** — a persistent fork pool of ``workers`` processes runs up
+   to ``retries`` + 1 attempts.  A worker death breaks the pool: that
+   *pool generation* is discarded and rebuilt, and every task in
+   flight on it is charged one attempt (a broken pool cannot say
+   which task killed it);
+4. **exclusion** — a task that exhausts its pool attempts is
+   attempted once inline in the parent, where a poisoned config
+   raises a catchable exception instead of killing a worker, so one
+   bad task can never wedge the sweep.
 
-Results come back **in submission order** regardless of completion
-order, so a sweep's output is byte-identical whatever ``jobs`` is.
+An executor with ``workers=0`` has no pool: every attempt, ``retries``
++ 1 of them, runs inline.  Persistent errors are recorded per task,
+never raised.  :class:`SweepRuntime` returns results **in submission
+order**, so a sweep's output is byte-identical whatever ``jobs`` is.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -37,7 +47,7 @@ class ProgressEvent:
     done: int
     total: int
     label: str
-    source: str            # "cache" | "pool" | "inline"
+    source: str            # "cache" | "pool" | "inline" | "coalesced"
     ok: bool
     elapsed: float
 
@@ -69,13 +79,240 @@ class TaskOutcome:
 
     task: SimTask
     record: Optional[Dict]
-    source: str            # "cache" | "pool" | "inline"
+    source: str            # "cache" | "pool" | "inline" | "coalesced" | "error"
     attempts: int = 1
     error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return self.record is not None
+
+    def shared_with(self, task: SimTask) -> "TaskOutcome":
+        """This outcome as seen by ``task``, a duplicate coalesced onto it."""
+        record = (dict(self.record, label=task.label)
+                  if self.record is not None else None)
+        return TaskOutcome(task=task, record=record, source="coalesced",
+                           error=self.error)
+
+
+def _warmup() -> int:
+    """No-op worker task used to pre-spawn pool processes."""
+    return os.getpid()
+
+
+@dataclass
+class _Inflight:
+    """Rendezvous for requests coalesced onto one running simulation."""
+
+    done: threading.Event = field(default_factory=threading.Event)
+    outcome: Optional[TaskOutcome] = None
+
+
+class TaskExecutor:
+    """Resolve tasks through cache, coalescing, pool and exclusion.
+
+    Thread-safe: any number of threads may call :meth:`execute`
+    concurrently.  The pool is created on first use and lives until
+    :meth:`shutdown`.
+    """
+
+    def __init__(self, workers: int = 1, cache: Optional[ResultCache] = None,
+                 retries: int = 2):
+        if workers < 0:
+            raise ConfigurationError("executor workers must be >= 0")
+        if retries < 0:
+            raise ConfigurationError("executor retries must be >= 0")
+        self.workers = workers
+        self.cache = cache
+        self.retries = retries
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._closed = False
+        self._inflight: Dict[str, _Inflight] = {}
+        self._inflight_lock = threading.Lock()
+        self._counter_lock = threading.Lock()
+        self.executed = 0
+        self.cache_hits = 0
+        self.coalesced = 0
+        self.failures = 0
+        self.inline_runs = 0
+        self.pool_generations = 0
+        self.cache_write_failures = 0
+
+    # -- pool lifecycle ---------------------------------------------------
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        with self._pool_lock:
+            if self._closed:
+                raise RuntimeError("executor is shut down")
+            if self._pool is None:
+                import multiprocessing
+
+                try:
+                    context = multiprocessing.get_context("fork")
+                except ValueError:          # pragma: no cover — non-POSIX
+                    context = multiprocessing.get_context()
+                self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                                 mp_context=context)
+                self.pool_generations += 1
+                # Spawn the workers now, before other threads are
+                # hammering the queue, so forks happen from a quiet
+                # process.
+                for future in [self._pool.submit(_warmup)
+                               for _ in range(self.workers)]:
+                    try:
+                        future.result()
+                    except BrokenProcessPool:   # pragma: no cover
+                        break
+            return self._pool
+
+    def _discard_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Throw away a broken pool generation (next use rebuilds)."""
+        with self._pool_lock:
+            if self._pool is broken:
+                self._pool = None
+        broken.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self) -> None:
+        """Stop the pool and wait for its workers to exit."""
+        with self._pool_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    # -- execution --------------------------------------------------------
+
+    def execute(self, task: SimTask) -> TaskOutcome:
+        """Resolve one task: cache hit, else :meth:`resolve`."""
+        key = task.cache_key()
+        hit = self.lookup(task, key)
+        return hit if hit is not None else self.resolve(task, key)
+
+    def lookup(self, task: SimTask, key: str) -> Optional[TaskOutcome]:
+        """The cached outcome of ``key``, re-labelled for ``task``.
+
+        The stored label belongs to whichever caller produced the
+        entry; the caller's own label is reported instead.
+        """
+        if self.cache is None:
+            return None
+        record = self.cache.get(key)
+        if record is None:
+            return None
+        with self._counter_lock:
+            self.cache_hits += 1
+        return TaskOutcome(task=task, record=dict(record, label=task.label),
+                           source="cache")
+
+    def resolve(self, task: SimTask, key: str) -> TaskOutcome:
+        """Run a cache miss once, however many callers ask for ``key``.
+
+        The first caller becomes the owner and simulates; concurrent
+        callers wait for its outcome.  Never raises on task failure.
+        """
+        with self._inflight_lock:
+            entry = self._inflight.get(key)
+            owner = entry is None
+            if owner:
+                entry = self._inflight[key] = _Inflight()
+        if not owner:
+            entry.done.wait()
+            outcome = entry.outcome.shared_with(task)
+            with self._counter_lock:
+                self.coalesced += 1
+                if not outcome.ok:
+                    self.failures += 1
+            return outcome
+
+        outcome = TaskOutcome(task=task, record=None, source="error",
+                              error="executor aborted")
+        try:
+            outcome = self._attempt(task)
+            self._store(key, outcome)
+            with self._counter_lock:
+                if outcome.ok:
+                    self.executed += 1
+                else:
+                    self.failures += 1
+        finally:
+            # Publish only after the cache write, or a request landing
+            # between the two would miss both layers and re-simulate.
+            # Publish even if the run or the write raised, so neither
+            # a waiter nor a later request for ``key`` blocks forever.
+            entry.outcome = outcome
+            with self._inflight_lock:
+                del self._inflight[key]
+            entry.done.set()
+        return outcome
+
+    def _store(self, key: str, outcome: TaskOutcome) -> None:
+        if not outcome.ok or self.cache is None:
+            return
+        try:
+            self.cache.put(key, outcome.record)
+        except OSError:
+            # A full or read-only disk loses the entry, not the record.
+            with self._counter_lock:
+                self.cache_write_failures += 1
+
+    def _attempt(self, task: SimTask) -> TaskOutcome:
+        """Pool attempts up to ``retries`` + 1, then the exclusion."""
+        if self.workers == 0:
+            return self._run_inline(task, budget=self.retries + 1)
+        attempts = 0
+        while attempts <= self.retries:
+            pool = self._ensure_pool()
+            try:
+                future = pool.submit(execute_task, task)
+            except RuntimeError:
+                # Broken (BrokenProcessPool is a RuntimeError) or shut
+                # down by a concurrent task's crash: rebuild without
+                # charging this task an attempt.
+                self._discard_pool(pool)
+                continue
+            attempts += 1
+            try:
+                return TaskOutcome(task=task, record=future.result(),
+                                   source="pool", attempts=attempts)
+            except BrokenProcessPool:
+                # A worker died (crash, OOM-kill): this generation is
+                # gone.  Rebuild; the task has been charged.
+                self._discard_pool(pool)
+            except Exception:       # noqa: BLE001 — retried, then inline
+                pass
+        return self._run_inline(task, budget=1, prior_attempts=attempts)
+
+    def _run_inline(self, task: SimTask, budget: int,
+                    prior_attempts: int = 0) -> TaskOutcome:
+        """Up to ``budget`` attempts in this process."""
+        with self._counter_lock:
+            self.inline_runs += 1
+        error = None
+        for attempt in range(1, budget + 1):
+            try:
+                record = execute_task(task)
+            except Exception as exc:   # noqa: BLE001 — recorded per task
+                error = f"{type(exc).__name__}: {exc}"
+                continue
+            return TaskOutcome(task=task, record=record, source="inline",
+                               attempts=prior_attempts + attempt)
+        return TaskOutcome(task=task, record=None, source="inline",
+                           attempts=prior_attempts + budget, error=error)
+
+    # -- introspection ----------------------------------------------------
+
+    def counters(self) -> Dict:
+        with self._counter_lock:
+            return {
+                "executed": self.executed,
+                "cache_hits": self.cache_hits,
+                "coalesced": self.coalesced,
+                "failures": self.failures,
+                "inline_runs": self.inline_runs,
+                "pool_generations": self.pool_generations,
+                "cache_write_failures": self.cache_write_failures,
+            }
 
 
 @dataclass
@@ -91,11 +328,16 @@ class RuntimeReport:
 
     @property
     def executed(self) -> int:
-        return sum(1 for o in self.outcomes if o.ok and o.source != "cache")
+        return sum(1 for o in self.outcomes
+                   if o.ok and o.source in ("pool", "inline"))
 
     @property
     def cached(self) -> int:
         return sum(1 for o in self.outcomes if o.source == "cache")
+
+    @property
+    def coalesced(self) -> int:
+        return sum(1 for o in self.outcomes if o.source == "coalesced")
 
     @property
     def failed(self) -> int:
@@ -113,170 +355,83 @@ class RuntimeReport:
 
     def summary(self) -> str:
         return (f"tasks={len(self.outcomes)} executed={self.executed} "
-                f"cached={self.cached} failed={self.failed} "
-                f"retried={self.retried} elapsed={self.elapsed:.2f}s "
+                f"cached={self.cached} coalesced={self.coalesced} "
+                f"failed={self.failed} retried={self.retried} "
+                f"elapsed={self.elapsed:.2f}s "
                 f"({self.tasks_per_second:.2f} tasks/s)")
 
 
 class SweepRuntime:
-    """Executes independent simulation tasks, possibly in parallel."""
+    """Executes independent simulation tasks, possibly in parallel.
+
+    ``jobs=1`` runs every task inline in the calling thread (no pool,
+    for determinism and debugging); ``jobs>1`` fans them over a pool
+    of ``jobs`` workers that lives for one :meth:`run`.
+    """
 
     def __init__(self, config: Optional[RuntimeConfig] = None):
         self.config = config if config is not None else RuntimeConfig()
 
     def run(self, tasks: Sequence[SimTask]) -> RuntimeReport:
         started = time.time()
+        config = self.config
         tasks = list(tasks)
         outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         done_count = 0
+        lock = threading.Lock()
 
         def emit(index: int, outcome: TaskOutcome) -> None:
             nonlocal done_count
-            outcomes[index] = outcome
-            done_count += 1
-            if self.config.progress is not None:
-                self.config.progress(ProgressEvent(
-                    done=done_count,
-                    total=len(tasks),
-                    label=outcome.task.label,
-                    source=outcome.source,
-                    ok=outcome.ok,
-                    elapsed=time.time() - started,
-                ))
+            with lock:
+                outcomes[index] = outcome
+                done_count += 1
+                if config.progress is not None:
+                    config.progress(ProgressEvent(
+                        done=done_count,
+                        total=len(tasks),
+                        label=outcome.task.label,
+                        source=outcome.source,
+                        ok=outcome.ok,
+                        elapsed=time.time() - started,
+                    ))
 
-        # Layer 1: cache hits.
-        cache = self.config.cache
-        keys: List[Optional[str]] = [None] * len(tasks)
-        pending: List[int] = []
-        for index, task in enumerate(tasks):
-            if cache is not None:
-                keys[index] = task.cache_key()
-                record = cache.get(keys[index])
-                if record is not None:
-                    # The stored label belongs to whichever sweep
-                    # produced the entry; report the caller's.
-                    record = dict(record, label=task.label)
-                    emit(index, TaskOutcome(task=task, record=record,
-                                            source="cache"))
-                    continue
-            pending.append(index)
+        executor = TaskExecutor(workers=config.jobs if config.jobs > 1 else 0,
+                                cache=config.cache, retries=config.retries)
+        try:
+            # Layer 1: cache hits.  Misses are grouped by content
+            # address; each group resolves once, and its duplicates
+            # are coalesced onto the first copy.
+            groups: Dict[str, List[int]] = {}
+            for index, task in enumerate(tasks):
+                key = task.cache_key()
+                hit = None if key in groups else executor.lookup(task, key)
+                if hit is not None:
+                    emit(index, hit)
+                else:
+                    groups.setdefault(key, []).append(index)
 
-        # Layers 2 and 3: execute the misses.
-        generations = 1
-        if pending:
-            if self.config.jobs == 1:
-                self._run_inline(tasks, keys, pending, emit)
+            # Layers 2-4: resolve one copy per missed address.
+            def resolve(item) -> None:
+                key, (first, *duplicates) = item
+                outcome = executor.resolve(tasks[first], key)
+                emit(first, outcome)
+                for index in duplicates:
+                    emit(index, outcome.shared_with(tasks[index]))
+
+            if config.jobs == 1:
+                for item in groups.items():
+                    resolve(item)
             else:
-                generations = self._run_pool(tasks, keys, pending, emit)
+                with ThreadPoolExecutor(max_workers=config.jobs) as threads:
+                    list(threads.map(resolve, groups.items()))
+        finally:
+            executor.shutdown()
 
         return RuntimeReport(
             outcomes=[o for o in outcomes if o is not None],
             elapsed=time.time() - started,
-            pool_generations=generations,
+            pool_generations=max(1, executor.pool_generations),
         )
-
-    # -- execution layers -------------------------------------------------
-
-    def _store(self, index: int, keys, record: Dict) -> None:
-        if self.config.cache is not None and keys[index] is not None:
-            self.config.cache.put(keys[index], record)
-
-    def _run_inline(self, tasks, keys, pending: List[int], emit,
-                    source: str = "inline",
-                    max_attempts: Optional[int] = None,
-                    prior_attempts: Optional[Dict[int, int]] = None) -> None:
-        """Serial fallback: run each pending task in this process."""
-        budget = (max_attempts if max_attempts is not None
-                  else self.config.retries + 1)
-        for index in pending:
-            task = tasks[index]
-            attempts = 0
-            record = None
-            error = None
-            while record is None and attempts < budget:
-                attempts += 1
-                try:
-                    record = execute_task(task)
-                except Exception as exc:   # noqa: BLE001 — recorded per-task
-                    error = f"{type(exc).__name__}: {exc}"
-            if record is not None:
-                self._store(index, keys, record)
-            total = attempts + (prior_attempts or {}).get(index, 0)
-            emit(index, TaskOutcome(task=task, record=record, source=source,
-                                    attempts=total, error=error))
-
-    def _run_pool(self, tasks, keys, pending: List[int], emit) -> int:
-        """Fan pending tasks over worker processes.
-
-        Each iteration of the outer loop is one *pool generation*: a
-        broken pool (a worker died mid-task) discards the generation,
-        bumps the attempt count of every unfinished task, and starts
-        a fresh pool with the survivors.  Tasks whose attempts exceed
-        ``retries`` fall through to inline execution — the exclusion
-        that keeps a crashing config from looping forever.
-        """
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:                      # pragma: no cover — non-POSIX
-            context = multiprocessing.get_context()
-
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        remaining = list(pending)
-        generations = 0
-        while remaining:
-            runnable = [i for i in remaining
-                        if attempts[i] <= self.config.retries]
-            excluded = [i for i in remaining if i not in runnable]
-            if excluded:
-                # Last resort for tasks that exhausted their pool
-                # retries (crash suspects or persistent failures):
-                # one attempt in the parent, where an ordinary
-                # exception is catchable and only a genuine
-                # interpreter abort can take the sweep down.
-                self._run_inline(tasks, keys, excluded, emit,
-                                 max_attempts=1, prior_attempts=attempts)
-            remaining = runnable
-            if not remaining:
-                break
-            generations += 1
-            workers = min(self.config.jobs, len(runnable))
-            finished: List[int] = []
-            broke = False
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
-                futures = {
-                    pool.submit(execute_task, tasks[index]): index
-                    for index in runnable
-                }
-                not_done = set(futures)
-                while not_done and not broke:
-                    done, not_done = wait(not_done,
-                                          return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures[future]
-                        try:
-                            record = future.result()
-                        except BrokenProcessPool:
-                            broke = True
-                            continue
-                        except Exception:  # noqa: BLE001 — retried below
-                            continue
-                        finished.append(index)
-                        self._store(index, keys, record)
-                        emit(index, TaskOutcome(
-                            task=tasks[index], record=record, source="pool",
-                            attempts=attempts[index] + 1,
-                        ))
-            # A broken pool cannot say which task killed it, so every
-            # unfinished task of the generation — crashed, errored, or
-            # merely queued behind the crash — is charged one attempt;
-            # innocent tasks simply succeed in the next generation.
-            remaining = [i for i in runnable if i not in finished]
-            for index in remaining:
-                attempts[index] += 1
-        return max(1, generations)
 
 
 def run_tasks(

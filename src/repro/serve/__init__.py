@@ -8,7 +8,6 @@ shared content-addressed result cache with LRU eviction.  See
 ``docs/serving.md`` for the API and tenancy model.
 """
 
-from repro.serve.backend import ExecutionBackend, TaskResolution
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.scheduler import FairShareScheduler, TaskUnit
 from repro.serve.schemas import SubmitRequest, parse_submit
@@ -16,8 +15,6 @@ from repro.serve.server import SweepServer, serve
 from repro.serve.state import JobRegistry, JobState
 
 __all__ = [
-    "ExecutionBackend",
-    "TaskResolution",
     "ServeClient",
     "ServeError",
     "FairShareScheduler",

@@ -3,9 +3,9 @@
 ``repro serve`` boots one :class:`SweepServer`: a ThreadingHTTPServer
 front end, ``jobs`` dispatcher threads pulling task units from a
 :class:`~repro.serve.scheduler.FairShareScheduler`, and one shared
-:class:`~repro.serve.backend.ExecutionBackend` (persistent process
-pool + shared result cache).  Every sweep preset and job spec the CLI
-understands is thereby a network workload.
+:class:`~repro.runtime.pool.TaskExecutor` (persistent process pool,
+shared result cache, in-flight coalescing).  Every sweep preset and
+job spec the CLI understands is thereby a network workload.
 
 API (all JSON; see docs/serving.md):
 
@@ -16,15 +16,20 @@ API (all JSON; see docs/serving.md):
   progress, and (with ``full``) the simulation records.
 * ``GET  /v1/jobs/<id>/wait?timeout=S&results=...`` — long-poll until
   the job completes (or the timeout lapses), then the same payload.
+  ``S`` must be a finite number of seconds >= 0.
 * ``GET  /v1/jobs/<id>/events`` — newline-delimited JSON progress
   stream, one summary per state change, closing when the job is done.
 * ``GET  /v1/stats`` — backend counters, cache stats (hit rate,
   evictions), per-tenant accounting, scheduler backlog.
+
+A malformed request is answered 400 (or 413 for a body over
+``MAX_BODY_BYTES``), never with a dropped connection.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -33,13 +38,16 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ConfigurationError
 from repro.runtime.cache import ResultCache
+from repro.runtime.pool import TaskExecutor, TaskOutcome
 from repro.runtime.task import SimTask
-from repro.serve.backend import ExecutionBackend, TaskResolution
 from repro.serve.scheduler import FairShareScheduler, TaskUnit
 from repro.serve.schemas import parse_submit
 from repro.serve.state import JobRegistry, JobState
 
 _RESULT_LEVELS = ("none", "summary", "full")
+
+# Largest accepted POST body; a job of a few thousand task specs fits.
+MAX_BODY_BYTES = 8 * 2**20
 
 
 class SweepServer:
@@ -48,8 +56,11 @@ class SweepServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  jobs: int = 1, cache: Optional[ResultCache] = None,
                  retries: int = 2, verbose: bool = False):
-        self.backend = ExecutionBackend(jobs=jobs, cache=cache,
-                                        retries=retries)
+        if jobs < 1:
+            raise ConfigurationError("server jobs must be >= 1")
+        self.jobs = jobs
+        self.backend = TaskExecutor(workers=jobs, cache=cache,
+                                    retries=retries)
         self.scheduler = FairShareScheduler()
         self.registry = JobRegistry()
         self.verbose = verbose
@@ -79,7 +90,7 @@ class SweepServer:
 
     def start(self) -> "SweepServer":
         """Start dispatchers and the HTTP listener (non-blocking)."""
-        for n in range(self.backend.jobs):
+        for n in range(self.jobs):
             thread = threading.Thread(target=self._dispatch_loop,
                                       name=f"serve-dispatch-{n}",
                                       daemon=True)
@@ -138,12 +149,12 @@ class SweepServer:
                 return
             self.registry.mark_running(unit.job_id, unit.index)
             try:
-                resolution = self.backend.execute(unit.task)
+                outcome = self.backend.execute(unit.task)
             except Exception as exc:    # noqa: BLE001 — server must survive
-                resolution = TaskResolution(
-                    key="", record=None, source="error",
+                outcome = TaskOutcome(
+                    task=unit.task, record=None, source="error",
                     error=f"{type(exc).__name__}: {exc}")
-            self.registry.record(unit.job_id, unit.index, resolution)
+            self.registry.record(unit.job_id, unit.index, outcome)
 
     # -- introspection -----------------------------------------------------
 
@@ -154,7 +165,7 @@ class SweepServer:
             "server": {
                 "started": self.started,
                 "uptime": time.time() - self.started,
-                "jobs_slots": self.backend.jobs,
+                "jobs_slots": self.jobs,
             },
             "backend": self.backend.counters(),
             "cache": cache.stats_dict() if cache is not None else None,
@@ -243,7 +254,18 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _submit_job(self) -> None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        length = int(declared) if declared.isdecimal() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                raise ConfigurationError(
+                    f"invalid Content-Length: {declared!r}")
+            self._send_error_json(
+                413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8") or "null")
@@ -267,7 +289,7 @@ class _Handler(BaseHTTPRequestHandler):
             level = self._results_level(query)
             self._send_json(registry.detail(job_id, results=level))
         elif action == "wait":
-            timeout = float(query.get("timeout", 60.0))
+            timeout = _parse_timeout(query.get("timeout", "60"))
             registry.wait(job_id, until_done=True, timeout=timeout)
             level = self._results_level(query)
             self._send_json(registry.detail(job_id, results=level))
@@ -305,6 +327,17 @@ class _Handler(BaseHTTPRequestHandler):
                     return
             if self.sweep._stopping.is_set():
                 return
+
+
+def _parse_timeout(raw: str) -> float:
+    try:
+        timeout = float(raw)
+    except ValueError:
+        timeout = -1.0
+    if not 0 <= timeout < math.inf:     # also rejects nan
+        raise ConfigurationError(
+            f"timeout must be a finite number of seconds >= 0, not {raw!r}")
+    return timeout
 
 
 def serve(host: str = "127.0.0.1", port: int = 8787, jobs: int = 1,

@@ -15,8 +15,8 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
+from repro.runtime.pool import TaskOutcome
 from repro.runtime.task import SimTask
-from repro.serve.backend import TaskResolution
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -157,25 +157,25 @@ class JobRegistry:
             self._cond.notify_all()
 
     def record(self, job_id: str, index: int,
-               resolution: TaskResolution) -> None:
+               outcome: TaskOutcome) -> None:
         with self._cond:
             job = self._jobs[job_id]
             job.unit_status[index] = DONE
-            job.records[index] = resolution.record
-            job.sources[index] = resolution.source
-            job.errors[index] = resolution.error
-            job.attempts[index] = resolution.attempts
+            job.records[index] = outcome.record
+            job.sources[index] = outcome.source
+            job.errors[index] = outcome.error
+            job.attempts[index] = outcome.attempts
             job.version += 1
             if job.done == job.total:
                 job.finished = time.time()
             account = self._tenants[job.tenant]
-            if resolution.source == "cache":
+            if outcome.source == "cache":
                 account["cached"] += 1
-            elif resolution.source == "coalesced":
+            elif outcome.source == "coalesced":
                 account["coalesced"] += 1
-            elif resolution.ok:
+            elif outcome.ok:
                 account["executed"] += 1
-            if not resolution.ok:
+            if not outcome.ok:
                 account["failed"] += 1
             self._cond.notify_all()
 

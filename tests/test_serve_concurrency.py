@@ -9,22 +9,28 @@ The service contract under concurrent multi-tenant load:
   of the same tasks through the plain SweepRuntime;
 * fair-share scheduling: a small job from a second tenant finishes
   ahead of a large backlog submitted first by another tenant;
-* a worker crash mid-request is retried and excluded through the
-  pool's retry-with-exclusion path without poisoning other requests.
+* concurrent requests for one content address run one simulation,
+  and a failure reaches every coalesced waiter.
+
+Worker crashes mid-request go through the same executor as a sweep;
+``tests/test_runtime_pool.py`` runs that battery over both callers.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 
-from repro.runtime import ResultCache, RuntimeConfig, SimTask, SweepRuntime
-from repro.runtime import task as task_module
-from repro.serve import ExecutionBackend, ServeClient, SweepServer
+from repro.runtime import (
+    ResultCache,
+    RuntimeConfig,
+    SimTask,
+    SweepRuntime,
+    TaskExecutor,
+    TaskOutcome,
+)
+from repro.serve import ServeClient, SweepServer
 from tests.conftest import tiny_job, tiny_model
-
-_PARENT_PID = os.getpid()
 
 
 def _tiny_tasks(systems=("none", "recomputation", "gpu-cpu-swap")):
@@ -169,28 +175,25 @@ class TestCoalescing:
                                                               monkeypatch):
         # Deterministic rendezvous: the owner blocks inside the
         # (stubbed) simulation until both requesters are committed.
-        backend = ExecutionBackend(jobs=1)
+        executor = TaskExecutor(workers=1)
         task = SimTask(label="co/task", job=tiny_job(), system="none")
         release = threading.Event()
         started = threading.Event()
         calls = []
 
-        def _slow_run(self, task, key):
-            calls.append(key)
+        def _slow_attempt(self, task):
+            calls.append(task.label)
             started.set()
             release.wait(timeout=30)
-            from repro.serve.backend import TaskResolution
+            return TaskOutcome(task=task, record={"label": task.label,
+                                                  "ok": True},
+                               source="pool")
 
-            return TaskResolution(key=key, record={"label": task.label,
-                                                   "ok": True},
-                                  source="pool")
-
-        monkeypatch.setattr(ExecutionBackend, "_run_with_retries",
-                            _slow_run)
-        resolutions = [None, None]
+        monkeypatch.setattr(TaskExecutor, "_attempt", _slow_attempt)
+        outcomes = [None, None]
 
         def run(n):
-            resolutions[n] = backend.execute(task)
+            outcomes[n] = executor.execute(task)
 
         owner = threading.Thread(target=run, args=(0,))
         owner.start()
@@ -205,31 +208,28 @@ class TestCoalescing:
         owner.join(timeout=10)
         follower.join(timeout=10)
         assert len(calls) == 1, "second request re-ran the simulation"
-        sources = sorted(r.source for r in resolutions)
+        sources = sorted(o.source for o in outcomes)
         assert sources == ["coalesced", "pool"]
-        assert all(r.ok for r in resolutions)
-        assert backend.coalesced == 1
+        assert all(o.ok for o in outcomes)
+        assert executor.coalesced == 1
 
     def test_coalesced_failure_propagates_to_waiters(self, monkeypatch):
-        backend = ExecutionBackend(jobs=1)
+        executor = TaskExecutor(workers=1)
         task = SimTask(label="co/fail", job=tiny_job(), system="none")
         release = threading.Event()
         started = threading.Event()
 
-        def _failing_run(self, task, key):
+        def _failing_attempt(self, task):
             started.set()
             release.wait(timeout=30)
-            from repro.serve.backend import TaskResolution
+            return TaskOutcome(task=task, record=None, source="inline",
+                               attempts=3, error="ValueError: boom")
 
-            return TaskResolution(key=key, record=None, source="inline",
-                                  attempts=3, error="ValueError: boom")
-
-        monkeypatch.setattr(ExecutionBackend, "_run_with_retries",
-                            _failing_run)
-        resolutions = [None, None]
+        monkeypatch.setattr(TaskExecutor, "_attempt", _failing_attempt)
+        outcomes = [None, None]
 
         def run(n):
-            resolutions[n] = backend.execute(task)
+            outcomes[n] = executor.execute(task)
 
         threads = [threading.Thread(target=run, args=(0,))]
         threads[0].start()
@@ -241,82 +241,7 @@ class TestCoalescing:
         release.set()
         for thread in threads:
             thread.join(timeout=10)
-        assert all(not r.ok for r in resolutions)
-        assert any(r.source == "coalesced" and "boom" in (r.error or "")
-                   for r in resolutions)
-        assert backend.failures == 2      # owner + coalesced waiter
-
-
-# -- worker crash mid-request ------------------------------------------------
-#
-# Same poisoning scheme as tests/test_runtime_pool.py: the backend
-# workers fork this module, so a task labelled ``bad/*`` kills its
-# worker with ``os._exit`` (unhandleable, like a segfault) while the
-# inline exclusion run in the parent raises a catchable RuntimeError.
-
-
-def _poisoned_execute(task):
-    if task.label.startswith("bad/"):
-        if os.getpid() != _PARENT_PID:
-            os._exit(23)
-        raise RuntimeError("poisoned config")
-    return task_module.execute_task(task)
-
-
-class TestWorkerCrash:
-    def test_crash_mid_request_is_excluded_and_survivors_finish(
-            self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.pool.execute_task",
-                            _poisoned_execute)
-        job = tiny_job()
-        # Three distinct content addresses (the label is cosmetic and
-        # excluded from the key): the crasher must not coalesce onto a
-        # healthy task's in-flight simulation, or vice versa.
-        tasks = [
-            SimTask(label="battery/none", job=job, system="none"),
-            SimTask(label="bad/crasher", job=job, system="gpu-cpu-swap"),
-            SimTask(label="battery/recomputation", job=job,
-                    system="recomputation"),
-        ]
-        server = SweepServer(port=0, jobs=2, retries=1).start()
-        try:
-            state = server.submit("alice", 0, tasks)
-            server.registry.wait(state.id, until_done=True, timeout=300.0)
-            detail = server.registry.detail(state.id, results="full")
-            assert detail["status"] == "done"
-            rows = {row["label"]: row for row in detail["tasks"]}
-            crashed = rows["bad/crasher"]
-            assert crashed["ok"] is False
-            assert crashed["source"] == "inline"   # excluded from the pool
-            assert "RuntimeError" in crashed["error"]
-            assert crashed["attempts"] == 3        # retries + 1 + inline
-            assert rows["battery/none"]["ok"] is True
-            assert rows["battery/recomputation"]["ok"] is True
-            assert detail["failed"] == 1
-            # The broken pool generation was rebuilt.
-            assert server.backend.pool_generations >= 2
-            # The server is still healthy for the next request.
-            after = server.submit("bob", 0, [
-                SimTask(label="battery/after", job=job, system="none")])
-            done = server.registry.wait(after.id, until_done=True,
-                                        timeout=120.0)
-            assert done["failed"] == 0
-        finally:
-            server.stop()
-
-    def test_worker_exception_is_retried_then_recorded(self, monkeypatch):
-        def _raise(task):
-            raise ValueError("boom")
-
-        monkeypatch.setattr("repro.runtime.pool.execute_task", _raise)
-        backend = ExecutionBackend(jobs=2, retries=1)
-        try:
-            resolution = backend.execute(
-                SimTask(label="battery/none", job=tiny_job(),
-                        system="none"))
-            assert not resolution.ok
-            assert "ValueError" in resolution.error
-            assert resolution.source == "inline"
-            assert resolution.attempts == 3
-        finally:
-            backend.shutdown()
+        assert all(not o.ok for o in outcomes)
+        assert any(o.source == "coalesced" and "boom" in (o.error or "")
+                   for o in outcomes)
+        assert executor.failures == 2     # owner + coalesced waiter

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 from urllib.request import urlopen
 
@@ -11,6 +12,7 @@ from repro.errors import ConfigurationError
 from repro.jobspec import task_from_spec
 from repro.runtime import ResultCache, SimTask
 from repro.serve import ServeClient, ServeError, SweepServer, parse_submit
+from repro.serve.server import MAX_BODY_BYTES
 from tests.conftest import tiny_job
 
 
@@ -18,6 +20,20 @@ def _tiny_tasks(systems=("none", "recomputation")):
     job = tiny_job()
     return [SimTask(label=f"serve/{system}", job=job, system=system)
             for system in systems]
+
+
+def _raw_request(server, method, path, headers=()):
+    """Send a request with exactly ``headers`` and no body."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest(method, path)
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 @pytest.fixture
@@ -164,6 +180,31 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
+
+    def test_malformed_content_length_is_400(self, server, client):
+        for length in ("abc", "-5"):
+            status, payload = _raw_request(server, "POST", "/v1/jobs",
+                                           [("Content-Length", length)])
+            assert status == 400, length
+            assert "Content-Length" in payload["error"]
+        assert client.health()["ok"] is True
+
+    def test_oversized_body_is_413(self, server, client):
+        # The cap is checked before the body is read, so no body is sent.
+        status, payload = _raw_request(
+            server, "POST", "/v1/jobs",
+            [("Content-Length", str(MAX_BODY_BYTES + 1))])
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert client.health()["ok"] is True
+
+    def test_malformed_wait_timeout_is_400(self, server):
+        job = server.submit("alice", 0, _tiny_tasks(("none",)))
+        for timeout in ("abc", "nan", "inf", "-1"):
+            status, payload = _raw_request(
+                server, "GET", f"/v1/jobs/{job.id}/wait?timeout={timeout}")
+            assert status == 400, timeout
+            assert "timeout" in payload["error"]
 
     def test_submit_poll_wait_lifecycle(self, server, client):
         job = server.submit("alice", 0, _tiny_tasks())
