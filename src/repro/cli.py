@@ -259,7 +259,17 @@ def _cmd_plan(args) -> int:
             "per_gpu_peak_gib": [
                 peak / GiB for peak in report.profile.stage_peaks],
             "shape": None,
+            "mapping": None,
         }
+        mapping = report.mapping
+        if mapping is not None:
+            payload["mapping"] = {
+                "device_map": mapping.device_map,
+                "score": mapping.score,
+                "placed_fraction": mapping.placed_fraction,
+                "mappings_evaluated": mapping.mappings_evaluated,
+                "distinct_evaluations": mapping.distinct_evaluations,
+            }
         if placement is not None:
             payload["shape"] = {
                 "tp": placement.tp, "dp": placement.dp, "pp": placement.pp,

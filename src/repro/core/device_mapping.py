@@ -14,6 +14,19 @@ On symmetric (switched) topologies every mapping is equivalent, so
 the search short-circuits to the identity mapping, as the paper
 notes ("randomly maps stages to devices and aggressively uses all
 NVLinks").
+
+The assignment reads a mapping only through the lane counts between
+each exporter's device and each importer's device (exporters have
+overflow, importers have spare).  Mappings that agree on that
+exporter x importer lane sub-matrix get identical assignments and
+scores, and since only a strictly greater score replaces the best
+candidate, the first mapping with a given sub-matrix is the only one
+that can win.  The search therefore runs the assignment once per
+distinct sub-matrix and skips repeats: on DGX-1 the paper's BERT-0.64
+vectors (3 exporters, 5 importers) need 2,340 assignments for 40,320
+mappings.  ``MappingResult.mappings_evaluated`` counts the mappings
+enumerated, ``distinct_evaluations`` the assignments actually run.
+The lane matrix is read from the topology once per search.
 """
 
 from __future__ import annotations
@@ -34,7 +47,8 @@ class MappingResult:
     score: float
     placed_fraction: float                      # overflow bytes with a home
     assignments: Dict[int, Dict[int, int]]      # exporter stage -> {importer stage: bytes}
-    mappings_evaluated: int = 0
+    mappings_evaluated: int = 0                 # mappings enumerated
+    distinct_evaluations: int = 0               # assignments actually run
 
     def importer_budget(self, importer_stage: int) -> int:
         """Total bytes assigned into one importing stage."""
@@ -59,6 +73,12 @@ class _Evaluation:
     max_transfer_seconds: float
 
 
+def _lane_matrix(topology: Topology) -> List[List[int]]:
+    """``matrix[a][b]`` is ``topology.lanes(a, b)`` for every device pair."""
+    n = topology.n_gpus
+    return [[topology.lanes(a, b) for b in range(n)] for a in range(n)]
+
+
 def assign_spare_memory(
     topology: Topology,
     device_map: Tuple[int, ...],
@@ -72,8 +92,23 @@ def assign_spare_memory(
     proportionally to lane counts (water-filling against remaining
     budgets).
     """
+    return _assign(
+        _lane_matrix(topology),
+        topology.nvlink.sustained_bandwidth,
+        device_map,
+        overflow,
+        spare,
+    )
+
+
+def _assign(
+    lanes_between: List[List[int]],
+    lane_bandwidth: float,
+    device_map: Tuple[int, ...],
+    overflow: List[int],
+    spare: List[int],
+) -> _Evaluation:
     n = len(device_map)
-    lane_bandwidth = topology.nvlink.sustained_bandwidth
     remaining = {s: spare[s] for s in range(n) if spare[s] > 0}
     assignments: Dict[int, Dict[int, int]] = {}
     total_overflow = sum(overflow)
@@ -85,11 +120,11 @@ def assign_spare_memory(
         (s for s in range(n) if overflow[s] > 0), key=lambda s: -overflow[s]
     )
     for exporter in exporters:
-        e_dev = device_map[exporter]
+        row = lanes_between[device_map[exporter]]
         lanes = {
-            imp: topology.lanes(e_dev, device_map[imp])
+            imp: row[device_map[imp]]
             for imp in remaining
-            if topology.lanes(e_dev, device_map[imp]) > 0
+            if row[device_map[imp]] > 0
         }
         if not lanes:
             continue
@@ -132,7 +167,7 @@ def assign_spare_memory(
         weight = overflow[exporter] / total_overflow if total_overflow else 0.0
         weighted_revenue += placed * (1.0 + weight)
         seconds = max(
-            amount / (topology.lanes(e_dev, device_map[imp]) * lane_bandwidth)
+            amount / (lanes[imp] * lane_bandwidth)
             for imp, amount in alloc.items()
         )
         max_seconds = max(max_seconds, seconds)
@@ -182,16 +217,31 @@ def search_device_mapping(
             placed_fraction=evaluation.placed_fraction,
             assignments=evaluation.assignments,
             mappings_evaluated=1,
+            distinct_evaluations=1,
         )
 
     if mode == "auto":
         mode = "exact" if n <= 8 else "greedy"
 
+    lanes_between = _lane_matrix(topology)
+    lane_bandwidth = topology.nvlink.sustained_bandwidth
+    exporters = [s for s in range(n) if overflow[s] > 0]
+    importers = [s for s in range(n) if spare[s] > 0]
+    # A mapping whose exporter x importer lane sub-matrix was already
+    # seen repeats that earlier evaluation exactly; under the strict
+    # ">" below it can never win, so it is skipped.
+    seen = set()
     best = _Candidate()
     evaluated = 0
     for device_map in _mappings(n, mode, max_mappings):
-        evaluation = assign_spare_memory(topology, device_map, overflow, spare)
         evaluated += 1
+        rows = [lanes_between[device_map[e]] for e in exporters]
+        cols = [device_map[i] for i in importers]
+        key = tuple([row[c] for row in rows for c in cols])
+        if key in seen:
+            continue
+        seen.add(key)
+        evaluation = _assign(lanes_between, lane_bandwidth, device_map, overflow, spare)
         score = _score(evaluation)
         if score > best.score:
             best = _Candidate(
@@ -208,6 +258,7 @@ def search_device_mapping(
         placed_fraction=best.placed,
         assignments=best.assignments,
         mappings_evaluated=evaluated,
+        distinct_evaluations=len(seen),
     )
 
 

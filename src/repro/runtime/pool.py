@@ -28,6 +28,7 @@ order**, so a sweep's output is byte-identical whatever ``jobs`` is.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -95,6 +96,15 @@ class TaskOutcome:
                            error=self.error)
 
 
+def _worker_init() -> None:
+    """Give pool workers the default SIGTERM action.
+
+    A fork inherits the parent's Python signal handlers, and ``repro
+    serve`` traps SIGTERM; a worker must still die on it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _warmup() -> int:
     """No-op worker task used to pre-spawn pool processes."""
     return os.getpid()
@@ -153,7 +163,8 @@ class TaskExecutor:
                 except ValueError:          # pragma: no cover — non-POSIX
                     context = multiprocessing.get_context()
                 self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                                 mp_context=context)
+                                                 mp_context=context,
+                                                 initializer=_worker_init)
                 self.pool_generations += 1
                 # Spawn the workers now, before other threads are
                 # hammering the queue, so forks happen from a quiet

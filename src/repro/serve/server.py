@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -114,14 +115,31 @@ class SweepServer:
             self._http_thread.join(timeout=10)
 
     def serve_forever(self) -> None:
-        """Block until interrupted (the CLI entry point)."""
+        """Block until SIGINT or SIGTERM, then stop (the CLI entry point).
+
+        Called from the main thread, SIGTERM is routed into the same
+        stop path as Ctrl-C for the duration of the call, so the pool
+        workers are shut down rather than orphaned; the previous
+        SIGTERM handler is restored on the way out.
+        """
+        previous = None
         try:
+            if threading.current_thread() is threading.main_thread():
+                previous = signal.signal(signal.SIGTERM, self._on_sigterm)
             while not self._stopping.is_set():
                 time.sleep(0.5)
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, _Terminated):
             pass
         finally:
             self.stop()
+            if previous is not None:
+                signal.signal(signal.SIGTERM, previous)
+
+    def _on_sigterm(self, signum, frame) -> None:
+        # A SIGTERM arriving while stop() already runs must not cut
+        # the shutdown short.
+        if not self._stopping.is_set():
+            raise _Terminated
 
     # -- submission --------------------------------------------------------
 
@@ -183,6 +201,10 @@ class SweepServer:
                               if s["status"] == "queued"),
             },
         }
+
+
+class _Terminated(Exception):
+    """Raised by the SIGTERM handler to leave :meth:`SweepServer.serve_forever`."""
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -44,7 +44,14 @@ class AuditReport:
 
 
 def audit_simulation(result: SimulationResult) -> AuditReport:
-    """Run every audit against a finished simulation."""
+    """Run every audit against a finished simulation.
+
+    Also accepts a serving outcome (anything with a ``simulation``
+    attribute) and audits its simulation.  The end-of-run memory-book
+    audit reconstructs training state from the job's stage plan, so it
+    runs only when the job has one; serving jobs skip it.
+    """
+    result = getattr(result, "simulation", result)
     report = AuditReport()
     if not result.ok:
         report.extend(["simulation did not complete (OOM)"])
@@ -53,7 +60,8 @@ def audit_simulation(result: SimulationResult) -> AuditReport:
     report.extend(_audit_causality(result))
     report.extend(_audit_no_compute_overlap(result))
     report.extend(_audit_swap_pairing(result))
-    report.extend(_audit_memory_books(result))
+    if getattr(result.job, "stage_plan", None) is not None:
+        report.extend(_audit_memory_books(result))
     if result.resilience is not None:
         report.extend(_audit_outage_windows(result))
         report.extend(_audit_recovery_reload(result))

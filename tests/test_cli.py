@@ -418,6 +418,18 @@ class TestPlanJson:
         assert payload["feasible"] is True
         assert payload["shape"] is None
         assert len(payload["per_gpu_peak_gib"]) == 8
+        # BERT-0.35 fits without D2D demand, so no mapping search ran.
+        assert payload["mapping"] is None
+
+    def test_plan_json_reports_mapping_search(self, capsys):
+        code = main(["plan", "--model", "bert-0.64", "--json"])
+        assert code == 0
+        mapping = json.loads(capsys.readouterr().out)["mapping"]
+        assert mapping["device_map"] == [0, 7, 5, 6, 2, 1, 4, 3]
+        assert mapping["mappings_evaluated"] == 40320
+        assert mapping["distinct_evaluations"] == 2340
+        assert mapping["score"] > 0
+        assert 0.0 < mapping["placed_fraction"] <= 1.0
 
     def test_plan_json_cluster_shape(self, capsys):
         code = main([

@@ -60,6 +60,22 @@ class TestSearch:
         assert result.placed_fraction == pytest.approx(1.0)
         assert result.mappings_evaluated == 40320
 
+    def test_paper_bert_064_vectors(self):
+        # Importer demand and reserved spare the planner derives for
+        # BERT-0.64 under PipeDream on DGX-1 (3 exporters, 5 importers).
+        topo = dgx1_topology()
+        overflow = [32064531312, 18704309932, 16032265656, 0, 0, 0, 0, 0]
+        spare = [0, 0, 0, 592633597, 6792517006, 9025078093,
+                 16464938183, 28531852701]
+        result = search_device_mapping(topo, overflow, spare, mode="exact")
+        assert result.device_map == [0, 7, 5, 6, 2, 1, 4, 3]
+        assert result.score == pytest.approx(264066612548.33856, rel=1e-12)
+        assert result.mappings_evaluated == 40320
+        assert result.distinct_evaluations == 2340
+        best = assign_spare_memory(topo, tuple(result.device_map), overflow, spare)
+        assert result.assignments == best.assignments
+        assert result.placed_fraction == best.placed_fraction
+
     def test_symmetric_topology_short_circuits(self):
         topo = dgx2_topology()
         overflow = _gib([10] + [0] * 7)
@@ -67,6 +83,7 @@ class TestSearch:
         result = search_device_mapping(topo, overflow, spare)
         assert result.device_map == list(range(8))
         assert result.mappings_evaluated == 1
+        assert result.distinct_evaluations == 1
         assert result.placed_fraction == pytest.approx(1.0)
 
     def test_no_overflow_returns_identity(self):

@@ -1,8 +1,10 @@
 """Property-based tests for the device-mapping search."""
 
-from hypothesis import given, settings, strategies as st
+import itertools
 
-from repro.core.device_mapping import assign_spare_memory, search_device_mapping
+from hypothesis import Phase, given, settings, strategies as st
+
+from repro.core.device_mapping import _score, assign_spare_memory, search_device_mapping
 from repro.hardware.topology import dgx1_topology, dgx2_topology
 
 TOPO = dgx1_topology()
@@ -50,8 +52,6 @@ def test_search_returns_valid_permutation(overflow, spare):
 @given(overflow=byte_vectors, spare=byte_vectors)
 @settings(max_examples=10, deadline=None)
 def test_search_never_worse_than_identity(overflow, spare):
-    from repro.core.device_mapping import _score
-
     identity_eval = assign_spare_memory(TOPO, tuple(range(8)), overflow, spare)
     result = search_device_mapping(TOPO, overflow, spare, mode="greedy")
     # Greedy anchors stage 0 at device 0 but still explores 5040
@@ -73,3 +73,77 @@ def test_switched_topology_places_all_reachable(overflow, spare):
     expected = min(sum(overflow), sum(spare))
     placed = sum(sum(a.values()) for a in evaluation.assignments.values())
     assert placed >= expected * 0.99 - 8  # rounding slack
+
+
+# Sparse vectors (most stages neither export nor import) vary the
+# exporter and importer counts, and so the number of distinct lane
+# sub-matrices the search evaluates.
+sparse_vectors = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=30 * 2**30)),
+    min_size=8, max_size=8,
+)
+
+
+def _brute_force(overflow, spare, mode, max_mappings=None):
+    """Score every enumerated mapping; the first best one wins ties."""
+    if mode == "exact":
+        source = itertools.permutations(range(8))
+    else:
+        source = ((0,) + rest for rest in itertools.permutations(range(1, 8)))
+    best = None
+    count = 0
+    for device_map in itertools.islice(source, max_mappings):
+        count += 1
+        evaluation = assign_spare_memory(TOPO, device_map, overflow, spare)
+        score = _score(evaluation)
+        if best is None or score > best[1]:
+            best = (list(device_map), score, evaluation.placed_fraction,
+                    evaluation.assignments)
+    return best + (count,)
+
+
+def _outcome(result):
+    return (result.device_map, result.score, result.placed_fraction,
+            result.assignments, result.mappings_evaluated)
+
+
+def _nonempty(overflow, spare):
+    # The search short-circuits to identity without overflow, and
+    # scores every mapping 0 without spare; keep at least one exporter
+    # and one importer so the enumeration has something to rank.
+    if not any(overflow):
+        overflow = [2**30] + overflow[1:]
+    if not any(spare):
+        spare = spare[:7] + [2**30]
+    return overflow, spare
+
+
+# Each example scores 40,320 mappings twice (seconds), so a failing
+# example is reported as found rather than shrunk.
+@given(overflow=sparse_vectors, spare=sparse_vectors)
+@settings(max_examples=2, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_exact_search_matches_brute_force(overflow, spare):
+    overflow, spare = _nonempty(overflow, spare)
+    result = search_device_mapping(TOPO, overflow, spare, mode="exact")
+    assert _outcome(result) == _brute_force(overflow, spare, "exact")
+    assert 1 <= result.distinct_evaluations <= result.mappings_evaluated
+
+
+@given(overflow=sparse_vectors, spare=sparse_vectors)
+@settings(max_examples=6, deadline=None)
+def test_greedy_search_matches_brute_force(overflow, spare):
+    overflow, spare = _nonempty(overflow, spare)
+    result = search_device_mapping(TOPO, overflow, spare, mode="greedy")
+    assert _outcome(result) == _brute_force(overflow, spare, "greedy")
+
+
+@given(overflow=sparse_vectors, spare=sparse_vectors,
+       max_mappings=st.integers(min_value=1, max_value=1500),
+       mode=st.sampled_from(["exact", "greedy"]))
+@settings(max_examples=10, deadline=None)
+def test_capped_search_matches_brute_force(overflow, spare, max_mappings, mode):
+    overflow, spare = _nonempty(overflow, spare)
+    result = search_device_mapping(TOPO, overflow, spare, mode=mode,
+                                   max_mappings=max_mappings)
+    assert _outcome(result) == _brute_force(overflow, spare, mode, max_mappings)

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 from urllib.request import urlopen
 
 import pytest
@@ -329,3 +336,71 @@ class TestRemoteSweep:
         cell = report.cells[0]
         assert (cell.model, cell.system) == ("bert-0.35", "none")
         assert cell.ok and cell.tflops > 0
+
+
+# -- process lifecycle -------------------------------------------------------
+
+
+def _children(pid):
+    """PIDs whose parent is ``pid`` (read from /proc)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestShutdown:
+    def test_sigterm_stops_server_and_pool_workers(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "2", "--quiet"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        workers = []
+        try:
+            match = re.search(r"listening on (http://\S+)",
+                              proc.stdout.readline())
+            assert match, "server did not announce its URL"
+            client = ServeClient(match.group(1), timeout=60.0)
+            # One real task makes the executor fork its pool.
+            job_id = client.submit(tasks=[{"model": "bert-0.35",
+                                           "server": "dgx1",
+                                           "system": "none"}])
+            assert client.wait(job_id, timeout=120.0)["status"] == "done"
+            workers = _children(proc.pid)
+            assert len(workers) == 2, workers
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            for pid in [proc.pid] + workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stdout.close()

@@ -138,3 +138,34 @@ def test_tampered_reload_seconds_detected():
     )
     report = audit_simulation(result)
     assert any("transfer model" in v for v in report.violations)
+
+
+def _spilling_serving_outcome():
+    from repro.hardware.server import dgx1_server
+    from repro.inference import InferenceConfig, run_serving
+    from repro.models import gpt_variant
+
+    # A seeded episode whose KV pool overflows, so blocks spill over
+    # NVLink (the d2d policy) and the trace carries swap pairs.
+    config = InferenceConfig(
+        seed=3, n_requests=10, arrival_rate=32.0,
+        prompt_mean=128, prompt_max=256, output_mean=24, output_max=64,
+        max_batch=6, kv_pool_mib=199, kv_swap="d2d",
+    )
+    return run_serving(gpt_variant(5.3), dgx1_server(), config)
+
+
+def test_d2d_serving_episode_audits_clean():
+    outcome = _spilling_serving_outcome()
+    assert outcome.metrics.swapped_bytes > 0
+    assert audit_simulation(outcome.simulation).violations == []
+    # The outcome itself is accepted and audited through .simulation.
+    assert audit_simulation(outcome).violations == []
+
+
+def test_serving_audit_still_checks_swap_pairing():
+    result = _spilling_serving_outcome().simulation
+    victim = next(e for e in result.trace.events if e.kind == "swap_in")
+    result.trace.events.remove(victim)
+    report = audit_simulation(result)
+    assert any("swap-outs vs" in v for v in report.violations)
