@@ -15,6 +15,7 @@ from repro.core.plan import Action, MemorySavingPlan
 from repro.core.rewriter import InstrumentedProgram
 from repro.job import TrainingJob
 from repro.sim.executor import SimulationResult
+from repro.sim.fastpath import gc_paused
 from repro.sim.incremental import IncrementalSimulator
 from repro.sim.ir import ExecOptions
 from repro.sim.lowering import Lowering
@@ -52,7 +53,11 @@ class Emulator:
     goes through an :class:`~repro.sim.incremental.IncrementalSimulator`:
     consecutive candidate programs from the shared lowering reuse the
     engine state of their common prefix, and a candidate identical to
-    the previous one costs nothing (docs/fastpath.md).
+    the previous one costs nothing (docs/fastpath.md).  Lowering and
+    replay run with the cyclic garbage collector paused
+    (:func:`~repro.sim.fastpath.gc_paused`): the program's large,
+    acyclic object graph would otherwise trigger repeated full
+    collections that free nothing.
     """
 
     def __init__(self, job: TrainingJob, prefetch_lead: int = 2):
@@ -73,7 +78,8 @@ class Emulator:
 
     def run(self, plan: MemorySavingPlan) -> EmulationReport:
         self.n_emulations += 1
-        result = self._simulator.run(self._lowering.lower(plan))
+        with gc_paused():
+            result = self._simulator.run(self._lowering.lower(plan))
         capacity = self.job.server.gpu_memory
         peaks = result.memory.peaks()
         overflowed = [dev for dev, peak in enumerate(peaks) if peak > capacity]

@@ -96,6 +96,10 @@ class PlannerReport:
     # the report directly).
     n_fast_path: int = 0
     n_full_sims: int = 0
+    # Emulations the incremental simulator resumed from a snapshot or
+    # answered from its memo of the previous program.
+    n_incremental_resumes: int = 0
+    n_memoized: int = 0
     # Fault-aware planning (set when a fault profile was supplied).
     fault_profile: Optional[FaultSchedule] = None
     avoided_importers: List[int] = field(default_factory=list)
@@ -206,6 +210,8 @@ class Planner:
         report.final_time = report.emulation_times[-1]
         report.n_emulations = emulator.n_emulations
         report.n_full_sims = emulator.n_emulations
+        report.n_incremental_resumes = emulator.n_incremental_resumes
+        report.n_memoized = emulator.n_memoized
         return plan, report
 
     # -- device mapping ---------------------------------------------------

@@ -102,15 +102,15 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict]:
         """The cached record for ``key``, or None on miss.
 
-        Unreadable or corrupt entries count as misses: the runtime
-        will recompute and overwrite them.  A hit marks the entry
-        most-recently-used.
+        Unreadable or corrupt entries (invalid UTF-8, truncated or
+        wrong-shape JSON) count as misses: the runtime will recompute
+        and overwrite them.  A hit marks the entry most-recently-used.
         """
         path = self.path_for(key)
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             with self._lock:
                 self.misses += 1
             return None
@@ -219,12 +219,15 @@ class ResultCache:
         return os.path.join(self.root, META_NAME)
 
     def _read_meta(self) -> Dict:
+        """The persistent counters; a corrupt file reads as empty."""
         try:
-            with open(self._meta_path()) as handle:
+            with open(self._meta_path(), encoding="utf-8") as handle:
                 meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return {}
-        return meta if isinstance(meta, dict) else {}
+        if not isinstance(meta, dict) or type(meta.get("evictions", 0)) is not int:
+            return {}
+        return meta
 
     def _bump_meta_evictions(self, count: int) -> None:
         meta = self._read_meta()

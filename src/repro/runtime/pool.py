@@ -27,6 +27,7 @@ order**, so a sweep's output is byte-identical whatever ``jobs`` is.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
@@ -100,9 +101,13 @@ def _worker_init() -> None:
     """Give pool workers the default SIGTERM action.
 
     A fork inherits the parent's Python signal handlers, and ``repro
-    serve`` traps SIGTERM; a worker must still die on it.
+    serve`` traps SIGTERM; a worker must still die on it.  A fork
+    taken while another thread had the garbage collector paused
+    (:func:`repro.sim.fastpath.gc_paused`) inherits it off, so the
+    worker turns it back on.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    gc.enable()
 
 
 def _warmup() -> int:

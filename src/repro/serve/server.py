@@ -324,7 +324,8 @@ class _Handler(BaseHTTPRequestHandler):
         """Newline-delimited JSON progress stream until the job is done.
 
         Close-delimited (``Connection: close``, no Content-Length), so
-        any HTTP client that can read lines can follow progress.
+        any HTTP client that can read lines can follow progress.  A
+        client that goes away ends the stream quietly; the job runs on.
         """
         registry = self.sweep.registry
         self.send_response(200)
@@ -340,10 +341,13 @@ class _Handler(BaseHTTPRequestHandler):
             if summary is None:     # pragma: no cover — job vanished
                 return
             if summary["version"] > version or summary["status"] == "done":
-                self.wfile.write(
-                    (json.dumps(summary, sort_keys=True) + "\n")
-                    .encode("utf-8"))
-                self.wfile.flush()
+                try:
+                    self.wfile.write(
+                        (json.dumps(summary, sort_keys=True) + "\n")
+                        .encode("utf-8"))
+                    self.wfile.flush()
+                except (BrokenPipeError, ConnectionResetError):
+                    return
                 version = summary["version"]
                 if summary["status"] == "done":
                     return

@@ -24,7 +24,7 @@ from typing import Optional
 from repro.core.plan import MemorySavingPlan
 from repro.faults.spec import FaultSchedule
 from repro.job import TrainingJob
-from repro.sim.fastpath import run_program
+from repro.sim.fastpath import gc_paused, run_program
 from repro.sim.interpreter import SimulationResult
 from repro.sim.ir import ExecOptions
 from repro.sim.lowering import Lowering
@@ -79,4 +79,5 @@ def simulate(
         gpu_capacity_override=gpu_capacity_override,
         faults=faults,
     )
-    return PipelineExecutor(job, plan, options).run()
+    with gc_paused():
+        return PipelineExecutor(job, plan, options).run()

@@ -22,7 +22,14 @@ makespan/minibatch floats.  The loop replicates the engine's exact
 tie-breaking: streams kick in registration order, heap entries carry a
 monotonically increasing sequence number (so equal completion times
 pop in push order), and a finishing instruction wakes its own stream
-first, then its dependents' streams in edge-declaration order.
+first, then its dependents' streams in edge-declaration order.  Pool
+arbitration ("first pending and ready member in submission order")
+pops a per-stream min-heap of ready submission positions instead of
+scanning the stream's members.
+
+:func:`gc_paused` suspends CPython's cyclic collector while a whole
+program is lowered and replayed: a large program's acyclic object
+graph triggers dozens of full collections that find nothing to free.
 
 Anything observational — external subscribers, fault schedules —
 forces the reference :class:`~repro.sim.interpreter.Interpreter`;
@@ -38,9 +45,13 @@ from the newest snapshot that precedes the first divergence.
 
 from __future__ import annotations
 
+import gc
 import heapq
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +73,7 @@ __all__ = [
     "FastInterpreter",
     "ProgramTape",
     "EngineSnapshot",
+    "gc_paused",
     "run_program",
     "wants_fast_path",
     "fast_path_runs",
@@ -96,6 +108,7 @@ class ProgramTape:
         "stream_modes",
         "stream_of",
         "members",
+        "pos_in_stream",
         "dep_count",
         "dependents",
         "start_effects",
@@ -136,7 +149,9 @@ class ProgramTape:
             stream_of.append(s)
         self.stream_of = stream_of
         self.members: List[List[int]] = [[] for _ in self.stream_keys]
+        self.pos_in_stream: List[int] = []
         for iid, s in enumerate(stream_of):
+            self.pos_in_stream.append(len(self.members[s]))
             self.members[s].append(iid)
 
         # Dependency fan-in per consumer and the per-producer dependent
@@ -185,8 +200,9 @@ class EngineSnapshot:
     """Complete machine state between two event completions.
 
     Everything needed to resume the run from this instant: the event
-    heap, per-instruction states and start times, per-stream dispatch
-    cursors, and the sizes/usage of every memory book and the trace.
+    heap, per-instruction states and start times, per-stream FIFO
+    cursors and running members, and the sizes/usage of every memory
+    book and the trace.  Pool ready heaps are rebuilt from the states.
     Book timelines and trace rows are *not* copied — a resume slices
     the prefix out of the originating run's (append-only) lists.
     """
@@ -201,7 +217,6 @@ class EngineSnapshot:
     starts: List[float]
     heads: List[int]
     running: List[int]
-    scans: List[int]
     # Per book (gpu0..gpuN, host): (in_use, peak, tags, len(timeline), len(events))
     books: List[Tuple[int, int, Dict[str, int], int, int]]
     pinned: Tuple[int, int]
@@ -244,8 +259,8 @@ class FastInterpreter:
         self.ends: List[float] = [0.0] * n
         n_streams = len(self.tape.stream_keys)
         self.heads: List[int] = [0] * n_streams          # fifo dispatch cursor
-        self.scans: List[int] = [0] * n_streams          # pool done-prefix skip
         self.running: List[int] = [-1] * n_streams
+        self.ready = self.ready_heaps()
         self._heap: List[tuple] = []
         self._counter = 0
         self._now = 0.0
@@ -305,6 +320,23 @@ class FastInterpreter:
             minibatch_time=0.0,
         )
 
+    def ready_heaps(self) -> List[Optional[List[int]]]:
+        """Per pool stream, the submission positions of its pending
+        members whose producers have all finished (ascending, hence
+        already a heap); None for FIFO streams."""
+        states = self.states
+        dep_remaining = self.dep_remaining
+        heaps: List[Optional[List[int]]] = []
+        for members, mode in zip(self.tape.members, self.tape.stream_modes):
+            if mode == "fifo":
+                heaps.append(None)
+            else:
+                heaps.append([
+                    pos for pos, iid in enumerate(members)
+                    if states[iid] == _PENDING and dep_remaining[iid] == 0
+                ])
+        return heaps
+
     # -- machine ----------------------------------------------------------
 
     def _apply_static(self) -> None:
@@ -339,21 +371,12 @@ class FastInterpreter:
                 return
         else:
             # Pool arbitration: first pending+ready task in submission
-            # order among the not-yet-done members (the reference scans
-            # a deque that pop_done removes finished tasks from).
-            scan = self.scans[s]
-            limit = len(members)
-            while scan < limit and states[members[scan]] == _DONE:
-                scan += 1
-            self.scans[s] = scan
-            iid = -1
-            for pos in range(scan, limit):
-                candidate = members[pos]
-                if states[candidate] == _PENDING and dep_remaining[candidate] == 0:
-                    iid = candidate
-                    break
-            if iid < 0:
+            # order (the reference scans a deque of unfinished tasks).
+            # The heap holds exactly those tasks' positions.
+            ready = self.ready[s]
+            if not ready:
                 return
+            iid = members[heapq.heappop(ready)]
         now = self._now
         states[iid] = _RUNNING
         self.running[s] = iid
@@ -382,13 +405,20 @@ class FastInterpreter:
             self._apply(effects, iid, now)
         dependents = tape.dependents[iid]
         dep_remaining = self.dep_remaining
+        stream_of = tape.stream_of
+        ready = self.ready
         for consumer in dependents:
-            dep_remaining[consumer] -= 1
+            left = dep_remaining[consumer] - 1
+            dep_remaining[consumer] = left
+            # Still pending: nothing starts before its last producer ends.
+            if left == 0:
+                heap = ready[stream_of[consumer]]
+                if heap is not None:
+                    heapq.heappush(heap, tape.pos_in_stream[consumer])
         # Own stream first, then dependents' streams in edge order —
         # the engine's exact wake-up discipline.
         self._try_start(s)
         seen = {s}
-        stream_of = tape.stream_of
         for consumer in dependents:
             cs = stream_of[consumer]
             if cs not in seen:
@@ -473,7 +503,6 @@ class FastInterpreter:
             starts=list(self.starts),
             heads=list(self.heads),
             running=list(self.running),
-            scans=list(self.scans),
             books=[
                 (b.in_use, b.peak, dict(b._tags), len(b.timeline), len(b.events))
                 for b in self.books
@@ -512,6 +541,42 @@ def wants_fast_path(program: InstructionProgram, subscribers=()) -> bool:
         return False
     faults = program.options.faults
     return faults is None or faults.is_empty
+
+
+_GC_LOCK = threading.Lock()
+
+
+def _fresh_gc_lock() -> None:
+    # A fork taken while another thread held the lock must not
+    # inherit it held.
+    global _GC_LOCK
+    _GC_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_gc_lock)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Suspend the cyclic garbage collector for the enclosed block.
+
+    Lowering and replay allocate one acyclic object graph per program;
+    generational collection walks it dozens of times and frees
+    nothing.  Re-entrant: only a block that found the collector
+    enabled re-enables it, so a caller that disabled it keeps it off.
+    The lock makes check-and-disable atomic against re-enabling, so
+    overlapping blocks on several threads always leave it on.
+    """
+    with _GC_LOCK:
+        was_enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            with _GC_LOCK:
+                gc.enable()
 
 
 def run_program(program: InstructionProgram, subscribers=()) -> SimulationResult:

@@ -384,6 +384,7 @@ class IncrementalSimulator:
             if states[producer] != _DONE:
                 dep_remaining[consumer] += 1
         interp.dep_remaining = dep_remaining
+        interp.ready = interp.ready_heaps()
 
         heap = []
         for end, seq, old_iid in snapshot.heap:
@@ -402,7 +403,6 @@ class IncrementalSimulator:
                 if head == len(members) and states[iid] != _DONE:
                     head = pos
             interp.heads[s] = head
-            interp.scans[s] = head
             interp.running[s] = running
 
         for book, old_book, saved in zip(interp.books, art.books, snapshot.books):

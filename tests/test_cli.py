@@ -431,6 +431,16 @@ class TestPlanJson:
         assert mapping["score"] > 0
         assert 0.0 < mapping["placed_fraction"] <= 1.0
 
+    def test_plan_json_reports_incremental_counters(self, capsys):
+        # On the paper's DGX-1 headline job no emulation resumes from
+        # a snapshot or hits the memo of the previous program.
+        code = main(["plan", "--model", "bert-0.64", "--server", "dgx1",
+                     "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_incremental_resumes"] == 0
+        assert payload["n_memoized"] == 0
+
     def test_plan_json_cluster_shape(self, capsys):
         code = main([
             "plan", "--model", "gpt-5.3", "--nodes", "2", "--tp", "2",

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import os
 
-from repro.runtime.cache import ENTRY_VERSION, ResultCache
+import pytest
+
+from repro.runtime.cache import ENTRY_VERSION, META_NAME, ResultCache
 
 
 def _key(n: int) -> str:
@@ -34,6 +36,37 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     path = tmp_path / "02" / (_key(2) + ".json")
     path.write_text("{not json")
     assert cache.get(_key(2)) is None
+
+
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe\x00garbage",                       # binary, invalid UTF-8
+    b'{"version": 1, "key": "ab", "record": {"la',   # truncated JSON
+    b"[1, 2, 3]",                                   # not an object
+    b'{"version": 1, "record": [1, 2]}',            # record not an object
+], ids=["binary", "truncated", "list", "record-shape"])
+def test_unreadable_entry_is_a_counted_miss(tmp_path, payload):
+    cache = ResultCache(str(tmp_path))
+    cache.put(_key(7), {"label": "ok"})
+    (tmp_path / "07" / (_key(7) + ".json")).write_bytes(payload)
+    assert cache.get(_key(7)) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    # The next put overwrites the corrupt entry.
+    cache.put(_key(7), {"label": "again"})
+    assert cache.get(_key(7)) == {"label": "again"}
+
+
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe\x00garbage",
+    b'{"evictions": 3',
+    b'{"evictions": "many"}',
+], ids=["binary", "truncated", "wrong-shape"])
+def test_unreadable_meta_reads_as_no_evictions(tmp_path, payload):
+    (tmp_path / META_NAME).write_bytes(payload)
+    cache = ResultCache(str(tmp_path), max_bytes=10)
+    assert cache.total_evictions() == 0
+    cache.put(_key(0), _pad_record(0))
+    cache.put(_key(1), _pad_record(1))
+    assert cache.total_evictions() == 1
 
 
 def test_wrong_entry_version_is_a_miss(tmp_path):
@@ -106,8 +139,6 @@ def _pad_record(n: int) -> dict:
 
 
 def test_max_bytes_must_be_positive(tmp_path):
-    import pytest
-
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
@@ -205,8 +236,6 @@ def test_clear_keep_newer_than_spares_recent_entries(tmp_path):
 
 
 def test_clear_keep_newer_than_rejects_negative(tmp_path):
-    import pytest
-
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):

@@ -4,6 +4,7 @@ caching, coalescing, and crash retry through both callers."""
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from repro.runtime import (
 )
 from repro.runtime import task as task_module
 from repro.serve import SweepServer
+from repro.sim.fastpath import gc_paused
 from tests.conftest import tiny_job, tiny_model
 
 _PARENT_PID = os.getpid()
@@ -348,6 +350,22 @@ def test_worker_exception_retries_then_records(monkeypatch, caller):
     assert "ValueError" in outcome["error"]
     assert outcome["source"] == "inline"
     assert outcome["attempts"] == 3       # retries + 1 + inline
+
+
+def _collector_enabled() -> bool:
+    return gc.isenabled()
+
+
+def test_pool_workers_run_with_the_collector_on():
+    """Workers forked while the parent had the collector paused must
+    not inherit it paused for the rest of their life."""
+    executor = TaskExecutor(workers=1)
+    try:
+        with gc_paused():
+            pool = executor._ensure_pool()
+        assert pool.submit(_collector_enabled).result(timeout=60)
+    finally:
+        executor.shutdown()
 
 
 def test_executor_validation():

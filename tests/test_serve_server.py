@@ -7,8 +7,11 @@ import json
 import os
 import re
 import signal
+import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from urllib.request import urlopen
@@ -266,6 +269,43 @@ class TestEndpoints:
         # Versions are monotonically increasing along the stream.
         versions = [event["version"] for event in events]
         assert versions == sorted(versions)
+
+    def test_events_client_leaving_mid_stream_is_quiet(self, server,
+                                                       client, capsys):
+        """A client that resets the connection after the first event
+        costs the server nothing: the job completes, later requests
+        are answered, and no traceback reaches stderr."""
+        gate = threading.Event()
+        execute = server.backend.execute
+
+        def gated(task):
+            gate.wait(timeout=60)
+            return execute(task)
+
+        server.backend.execute = gated   # hold the job until the client leaves
+        job = server.submit("alice", 0, _tiny_tasks())
+        sock = socket.create_connection((server.host, server.port),
+                                        timeout=10)
+        sock.sendall(f"GET /v1/jobs/{job.id}/events HTTP/1.1\r\n"
+                     f"Host: {server.host}\r\n\r\n".encode("ascii"))
+        reader = sock.makefile("rb")
+        while reader.readline() not in (b"\r\n", b""):
+            pass                                    # status + headers
+        assert json.loads(reader.readline())["id"] == job.id
+        # Linger 0: close with a reset, not a FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        reader.close()
+        sock.close()
+        gate.set()
+        assert client.wait(job.id, timeout=120.0)["status"] == "done"
+        assert client.health()["ok"]
+        deadline = time.monotonic() + 10
+        while any("process_request" in thread.name
+                  for thread in threading.enumerate()):
+            assert time.monotonic() < deadline, "a request handler hangs"
+            time.sleep(0.05)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_stats_shape(self, server, client):
         job = server.submit("alice", 0, _tiny_tasks(("none",)))

@@ -8,27 +8,45 @@ reporting) match the reference interpreter exactly.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.core.mpress import MPress
+from repro.core.plan import empty_plan
 from repro.errors import ScheduleError, SimulationError
 from repro.faults.spec import random_schedule
+from repro.hardware import dgx1_server
+from repro.job import pipedream_job
+from repro.models import bert_variant
+from repro.sim import fastpath
 from repro.sim.events import TraceRecorder
 from repro.sim.fastpath import (
+    _PENDING,
+    _RUNNING,
     FastInterpreter,
     ProgramTape,
     fast_path_runs,
+    gc_paused,
     reference_runs,
     reset_run_counters,
     run_program,
     wants_fast_path,
 )
+from repro.sim.incremental import IncrementalSimulator, diff_programs
 from repro.sim.interpreter import Interpreter
 from repro.sim.ir import (
     Barrier,
+    Compute,
     ExecOptions,
     InstructionProgram,
+    Record,
 )
 from repro.sim.lowering import Lowering
 from repro.sim.trace import Trace
@@ -192,3 +210,211 @@ class TestSnapshots:
         interp = FastInterpreter(program)
         interp.run()
         assert interp.snapshots == []
+
+
+# -- pool arbitration ---------------------------------------------------------
+
+
+def _pool_program() -> InstructionProgram:
+    """Three producers on their own FIFO streams feed a four-member
+    pool stream, so its members become ready out of submission order:
+
+    * ``m3`` (no producers) runs first, 0 to 0.5;
+    * ``p1`` finishes at 1.0 and ``m1`` runs 1.0 to 2.5;
+    * ``m2`` is ready at 1.2 and ``m0`` at 2.0: both wait for ``m1``,
+      and the pool must pick ``m0``, the earlier submission;
+    * ``tail`` (after ``p0`` on its FIFO stream) waits on ``m0``.
+    """
+    job = tiny_job()
+    specs = [  # name, stream, mode, duration, producers
+        ("p0", ("src", 0), "fifo", 2.0, ()),
+        ("p1", ("src", 1), "fifo", 1.0, ()),
+        ("p2", ("src", 2), "fifo", 1.2, ()),
+        ("m0", ("pool", 0), "pool", 1.0, ("p0",)),
+        ("m1", ("pool", 0), "pool", 1.5, ("p1",)),
+        ("m2", ("pool", 0), "pool", 0.75, ("p2",)),
+        ("m3", ("pool", 0), "pool", 0.5, ()),
+        ("tail", ("src", 0), "fifo", 0.25, ("m0",)),
+    ]
+    iid_of = {name: iid for iid, (name, *_rest) in enumerate(specs)}
+    instrs = tuple(
+        Compute(iid=iid, name=name, stream=stream, stream_mode=mode,
+                duration=duration, device=0, stage=0, microbatch=iid,
+                layer=0, op="fwd",
+                done_effects=(Record(kind="fwd", device=0, microbatch=iid),))
+        for iid, (name, stream, mode, duration, _deps) in enumerate(specs)
+    )
+    edges = tuple(
+        (iid, iid_of[producer])
+        for iid, (*_head, deps) in enumerate(specs) for producer in deps
+    )
+    stream_order = []
+    for _name, stream, mode, _duration, _deps in specs:
+        if (stream, mode) not in stream_order:
+            stream_order.append((stream, mode))
+    return InstructionProgram(
+        job=job, plan=empty_plan(job.n_stages),
+        options=ExecOptions(strict=False), instructions=instrs, edges=edges,
+        static_effects=(), stream_order=tuple(stream_order),
+    )
+
+
+class TestPoolArbitration:
+    def test_out_of_order_readiness_matches_reference(self):
+        program = _pool_program()
+        interp = FastInterpreter(program)
+        fast = interp.run()
+        assert result_fingerprint(fast) == \
+            result_fingerprint(Interpreter(program).run())
+        start = {name: interp.starts[iid]
+                 for iid, name in enumerate(interp.tape.names)}
+        assert start["m3"] == 0.0
+        assert start["m1"] == 1.0
+        assert start["m0"] == 2.5      # ready after m2, submitted before it
+        assert start["m2"] == 3.5
+        assert interp.ready[interp.tape.stream_of[3]] == []
+
+    def test_tape_records_position_in_stream(self):
+        tape = ProgramTape(_pool_program())
+        for members in tape.members:
+            assert [tape.pos_in_stream[iid] for iid in members] == \
+                list(range(len(members)))
+
+    def test_resume_rebuilds_ready_heaps(self):
+        """Resume from a snapshot taken while ``m2`` sits ready behind
+        the busy pool: only a rebuilt ready heap can start it."""
+        base = _pool_program()
+        tail = base.instructions[-1]
+        changed = dataclasses.replace(base, instructions=base.instructions[:-1]
+                                      + (dataclasses.replace(tail, duration=0.5),))
+        sim = IncrementalSimulator(min_reuse_events=1)
+        sim.run(base)
+        art = sim._last
+        diff = diff_programs(base, changed, art.ends, art.starts)
+        snapshot = sim._pick_snapshot(art, diff.safe_time)
+        m2 = art.tape.names.index("m2")
+        assert snapshot.states[m2] == _PENDING
+        assert snapshot.dep_remaining[m2] == 0
+        assert snapshot.states[art.tape.names.index("m0")] == _RUNNING
+        resumed = sim.run(changed)
+        assert sim.n_resumed == 1
+        assert result_fingerprint(resumed) == \
+            result_fingerprint(Interpreter(changed).run())
+
+    def test_lowered_pool_streams_resume_bit_identically(self, program):
+        """A lowered program with pool streams, perturbed late enough
+        to resume, still matches a fresh reference run."""
+        assert "pool" in ProgramTape(program).stream_modes
+        sim = IncrementalSimulator()
+        sim.run(program)
+        starts = sim._last.starts
+        iid = max(range(len(starts)), key=lambda i: starts[i])
+        instrs = list(program.instructions)
+        instrs[iid] = dataclasses.replace(
+            instrs[iid], duration=instrs[iid].duration * 1.5 + 1e-3)
+        changed = dataclasses.replace(program, instructions=tuple(instrs))
+        resumed = sim.run(changed)
+        assert sim.n_resumed == 1
+        assert result_fingerprint(resumed) == \
+            result_fingerprint(Interpreter(changed).run())
+
+
+# -- the collector pause --------------------------------------------------------
+
+
+@pytest.fixture
+def gc_restored():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGcPaused:
+    def test_pauses_and_restores_enabled(self, gc_restored):
+        gc.enable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_keeps_a_callers_disable(self, gc_restored):
+        gc.disable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_nests(self, gc_restored):
+        gc.enable()
+        with gc_paused():
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_on_exception(self, gc_restored):
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_overlapping_threads_leave_collector_enabled(self, gc_restored):
+        """Blocks entered and left on many threads at once must never
+        strand the collector disabled (a lost check-then-disable)."""
+        gc.enable()
+
+        def churn():
+            for _ in range(2000):
+                with gc_paused():
+                    with gc_paused():
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_while_lock_held_can_pause(self):
+        """A fork taken while another thread held the pause lock must
+        not leave the child deadlocked on its first pause."""
+        with fastpath._GC_LOCK:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with gc_paused():
+                        code = 0
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 30
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child deadlocked on the pause lock")
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_headline_plan_leaves_no_cyclic_garbage(self, gc_restored):
+        """The pause is free only because lowering and replay create no
+        reference cycles: nothing is left for the collector to find."""
+        gc.enable()
+        gc.collect()
+        job = pipedream_job(bert_variant(0.64), dgx1_server())
+        with gc_paused():
+            result = MPress(job).run()
+        assert result.ok
+        assert gc.collect() == 0
