@@ -27,6 +27,10 @@ class ScheduleError(ReproError):
     """A pipeline schedule violates its ordering constraints."""
 
 
+class BacklogFullError(ReproError):
+    """A submission would push a tenant's queued work past its cap."""
+
+
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 

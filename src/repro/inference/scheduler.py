@@ -313,9 +313,11 @@ def schedule_serving(
         decode_contexts = [context for _, context in decodes]
         durations = []
         for s in stages:
-            durations.append(cost.stage_duration(s, prefill_tokens, decode_contexts))
-            tape.total_flops += sum(cost.prefill_flops(s, t) for t in prefill_tokens)
-            tape.total_flops += sum(cost.decode_flops(s, c) for c in decode_contexts)
+            duration, prefill_flops, decode_flops = cost.price_iteration(
+                s, prefill_tokens, decode_contexts)
+            durations.append(duration)
+            tape.total_flops += prefill_flops
+            tape.total_flops += decode_flops
         clock += sum(durations)
 
         tape.iterations.append(

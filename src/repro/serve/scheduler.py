@@ -19,16 +19,23 @@ Policy (deterministic, so tests can pin it):
 Service is charged at dispatch time, one unit per task, including
 units later resolved by the cache — the charge model is "scheduler
 attention", not simulation seconds.
+
+A tenant's queue is bounded: a batch that would leave more than
+:data:`~repro.serve.schemas.MAX_TENANT_BACKLOG` of its units queued
+is refused whole with :class:`~repro.errors.BacklogFullError`.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import BacklogFullError
 from repro.runtime.task import SimTask
+from repro.serve.schemas import MAX_TENANT_BACKLOG
 
 
 @dataclass(frozen=True)
@@ -71,11 +78,24 @@ class FairShareScheduler:
         self._closed = False
 
     def submit(self, units: Sequence[TaskUnit]) -> List[TaskUnit]:
-        """Enqueue units (stamping their global sequence numbers)."""
+        """Enqueue units (stamping their global sequence numbers).
+
+        All or nothing: if any tenant would end up with more than
+        ``MAX_TENANT_BACKLOG`` queued units, nothing is enqueued and
+        :class:`BacklogFullError` is raised.
+        """
         stamped: List[TaskUnit] = []
         with self._cond:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
+            for tenant, n in Counter(unit.tenant for unit in units).items():
+                queue = self._tenants.get(tenant)
+                queued = len(queue) if queue is not None else 0
+                if queued + n > MAX_TENANT_BACKLOG:
+                    raise BacklogFullError(
+                        f"tenant {tenant!r} has {queued} queued tasks; "
+                        f"{n} more would exceed the backlog cap of "
+                        f"{MAX_TENANT_BACKLOG}")
             for unit in units:
                 self._seq += 1
                 unit = TaskUnit(tenant=unit.tenant, job_id=unit.job_id,

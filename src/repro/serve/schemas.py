@@ -39,6 +39,11 @@ DEFAULT_TENANT = "default"
 # should be split (and will then interleave fairly anyway).
 MAX_TASKS_PER_REQUEST = 4096
 
+# Queued (not yet dispatched) units one tenant may hold; a submission
+# that would push past it is refused whole, so a client looping on
+# POST cannot grow the server's queue without bound.
+MAX_TENANT_BACKLOG = 16 * MAX_TASKS_PER_REQUEST
+
 
 @dataclass(frozen=True)
 class SubmitRequest:

@@ -10,7 +10,8 @@ job spec the CLI understands is thereby a network workload.
 API (all JSON; see docs/serving.md):
 
 * ``GET  /healthz`` — liveness.
-* ``POST /v1/jobs`` — submit a preset or task list; returns the job id.
+* ``POST /v1/jobs`` — submit a preset or task list; returns the job id
+  (202), or 429 when the tenant's queue is full.
 * ``GET  /v1/jobs`` — job summaries.
 * ``GET  /v1/jobs/<id>?results=none|summary|full`` — status, per-task
   progress, and (with ``full``) the simulation records.
@@ -23,7 +24,9 @@ API (all JSON; see docs/serving.md):
   evictions), per-tenant accounting, scheduler backlog.
 
 A malformed request is answered 400 (or 413 for a body over
-``MAX_BODY_BYTES``), never with a dropped connection.
+``MAX_BODY_BYTES``), never with a dropped connection.  A submission
+that would push its tenant's queue past ``MAX_TENANT_BACKLOG`` is
+answered 429 and leaves no job behind.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import ConfigurationError
+from repro.errors import BacklogFullError, ConfigurationError
 from repro.runtime.cache import ResultCache
 from repro.runtime.pool import TaskExecutor, TaskOutcome
 from repro.runtime.task import SimTask
@@ -145,18 +148,22 @@ class SweepServer:
 
     def submit(self, tenant: str, priority: int,
                tasks: Sequence[SimTask]) -> JobState:
-        """Accept one job: register it and enqueue its task units."""
+        """Accept one job: enqueue its task units and register it.
+
+        Raises :class:`BacklogFullError` (nothing registered) when the
+        tenant's queue cannot take the whole job.
+        """
         if self._stopping.is_set():
             raise ConfigurationError("server is shutting down")
         if not tasks:
             raise ConfigurationError("a job needs at least one task")
-        job = self.registry.create(tenant, priority, tasks)
-        self.scheduler.submit([
-            TaskUnit(tenant=tenant, job_id=job.id, index=index, task=task,
-                     priority=priority)
-            for index, task in enumerate(tasks)
-        ])
-        return job
+        return self.registry.create(
+            tenant, priority, tasks,
+            enqueue=lambda job: self.scheduler.submit([
+                TaskUnit(tenant=tenant, job_id=job.id, index=index,
+                         task=task, priority=priority)
+                for index, task in enumerate(tasks)
+            ]))
 
     # -- dispatch ----------------------------------------------------------
 
@@ -272,6 +279,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_json(404, f"no such endpoint: {path}")
         except ConfigurationError as error:
             self._send_error_json(400, str(error))
+        except BacklogFullError as error:
+            self._send_error_json(429, str(error))
         except BrokenPipeError:     # pragma: no cover — client went away
             self.close_connection = True
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.pool import TaskOutcome
 from repro.runtime.task import SimTask
@@ -135,11 +135,18 @@ class JobRegistry:
 
     # -- writes ------------------------------------------------------------
 
-    def create(self, tenant: str, priority: int,
-               tasks: Sequence[SimTask]) -> JobState:
+    def create(self, tenant: str, priority: int, tasks: Sequence[SimTask],
+               enqueue: Callable[[JobState], None]) -> JobState:
+        """Register a new job once ``enqueue`` has accepted it.
+
+        ``enqueue`` runs under the registry lock, so a dispatcher that
+        takes one of the job's units waits for the registration; if
+        ``enqueue`` raises, the job leaves no record and takes no id.
+        """
         with self._cond:
+            job = JobState(f"j{self._seq + 1:06d}", tenant, priority, tasks)
+            enqueue(job)
             self._seq += 1
-            job = JobState(f"j{self._seq:06d}", tenant, priority, tasks)
             self._jobs[job.id] = job
             account = self._tenants.setdefault(tenant, {
                 "jobs": 0, "tasks": 0, "executed": 0, "cached": 0,

@@ -7,7 +7,10 @@ The headline claims pinned here:
 * under an identical workload and KV pool, D2D striping and PCIe host
   swap move exactly the same spill volume (the scheduler never
   consults the transport), and D2D exposes strictly less decode stall
-  — the paper's bandwidth argument, on the serving side.
+  — the paper's bandwidth argument, on the serving side;
+* the cost oracle's memoised pricing equals the per-layer formulas
+  bit for bit, and an episode evaluates each distinct decode context
+  once per stage rather than once per request per iteration.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PartitionError
 from repro.hardware.server import dgx1_server
-from repro.inference import InferenceConfig, run_serving
-from repro.models import gpt_variant
+from repro.inference import InferenceConfig, ServingCost, run_serving
+from repro.inference.costing import INFERENCE_PARAM_BYTES, KV_BYTES_PER_ELEMENT
+from repro.models import costs, gpt_variant
+from repro.models.layers import LayerKind
 from repro.runtime.task import trace_digest
 
 MODEL = gpt_variant(5.3)
@@ -133,3 +138,94 @@ class TestDeterminism:
         assert first.metrics == second.metrics
         assert trace_digest(first.simulation.trace) == \
             trace_digest(second.simulation.trace)
+
+
+def _per_layer_flops(cost: ServingCost, stage: int, tokens: int, decode: bool) -> float:
+    """One request's FLOPs on ``stage``, summed layer by layer afresh."""
+    total = 0.0
+    for layer in cost.plan.stage(stage).layers:
+        if layer.kind is LayerKind.EMBEDDING:
+            total += costs.embedding_forward_flops(cost.hidden, 1 if decode else tokens, 1)
+        elif layer.kind is LayerKind.TRANSFORMER:
+            total += (costs.layer_decode_flops(cost.hidden, tokens) if decode
+                      else costs.layer_forward_flops(cost.hidden, tokens, 1))
+        else:
+            total += costs.head_forward_flops(cost.hidden, cost.vocab, 1, 1)
+    return total
+
+
+def _per_layer_duration(cost, stage, prefill_tokens, decode_contexts) -> float:
+    """An iteration's stage time with every constant recomputed."""
+    spec = cost.plan.stage(stage)
+    gpu = cost.server.gpu(cost.stage_device(stage))
+    flops = sum(_per_layer_flops(cost, stage, t, False) for t in prefill_tokens)
+    flops += sum(_per_layer_flops(cost, stage, c, True) for c in decode_contexts)
+    compute = flops / (gpu.peak_flops("fp16") * cost.config.mfu)
+    transformers = sum(1 for layer in spec.layers if layer.kind is LayerKind.TRANSFORMER)
+    kv_read = sum(decode_contexts) * transformers * costs.kv_cache_bytes_per_token(
+        cost.hidden, KV_BYTES_PER_ELEMENT)
+    hbm = (spec.params * INFERENCE_PARAM_BYTES + kv_read) / gpu.hbm_bandwidth
+    return max(compute, hbm)
+
+
+class TestMemoisedPricing:
+    @pytest.mark.parametrize("pp", [1, 2, 4])
+    def test_memoised_flops_equal_per_layer_sums(self, pp):
+        cost = ServingCost(MODEL, SERVER, InferenceConfig(pp=pp))
+        for stage in range(pp):
+            for tokens in range(1, MODEL.config.max_positions + 1):
+                for decode, priced in ((False, cost.prefill_flops),
+                                       (True, cost.decode_flops)):
+                    expected = _per_layer_flops(cost, stage, tokens, decode).hex()
+                    assert priced(stage, tokens).hex() == expected
+                    assert priced(stage, tokens).hex() == expected   # memo hit
+
+    @pytest.mark.parametrize("pp", [1, 2, 4])
+    def test_stage_duration_matches_per_layer_reference(self, pp):
+        cost = ServingCost(MODEL, SERVER, InferenceConfig(pp=pp))
+        batches = [((128,), ()), ((), (1,)), ((), (37, 512, 2048)),
+                   ((16, 256), (129, 130, 131)), ((2048,), (2047,))]
+        for stage in range(pp):
+            for prefill_tokens, decode_contexts in batches:
+                for _ in range(2):
+                    assert cost.stage_duration(
+                        stage, prefill_tokens, decode_contexts).hex() == \
+                        _per_layer_duration(cost, stage, prefill_tokens,
+                                            decode_contexts).hex()
+            assert cost.stage_duration(stage, (), ()) == 0.0
+
+    @pytest.mark.parametrize("tokens", [0, -3])
+    def test_non_positive_tokens_raise_on_every_call(self, tokens):
+        cost = ServingCost(MODEL, SERVER, InferenceConfig(pp=2))
+        for priced in (cost.prefill_flops, cost.decode_flops):
+            for _ in range(2):
+                with pytest.raises(ConfigurationError):
+                    priced(1, tokens)
+        with pytest.raises(ConfigurationError):
+            cost.stage_duration(0, (), (tokens,))
+
+    def test_out_of_range_stage_is_a_partition_error(self):
+        cost = ServingCost(MODEL, SERVER, InferenceConfig(pp=2))
+        for stage in (-1, 2):
+            with pytest.raises(PartitionError):
+                cost.weight_bytes(stage)
+            with pytest.raises(PartitionError):
+                cost.decode_flops(stage, 8)
+
+    def test_episode_prices_each_distinct_context_once_per_stage(self, monkeypatch):
+        calls = []
+        layer_decode_flops = costs.layer_decode_flops
+
+        def counted(hidden, context):
+            calls.append(context)
+            return layer_decode_flops(hidden, context)
+
+        monkeypatch.setattr(costs, "layer_decode_flops", counted)
+        outcome = serve(dataclasses.replace(SPILL, pp=2))
+        contexts = {context for record in outcome.tape.iterations
+                    for _, context in record.decodes}
+        decodes = sum(len(record.decodes) for record in outcome.tape.iterations)
+        bound = sum(len(contexts) * outcome.cost.n_transformer_layers(stage)
+                    for stage in range(outcome.cost.n_stages))
+        assert 0 < len(calls) <= bound
+        assert len(contexts) < decodes   # the bound is below per-request work

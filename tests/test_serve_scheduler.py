@@ -1,4 +1,5 @@
-"""Fair-share scheduler: tenant alternation, priorities, FIFO, close."""
+"""Fair-share scheduler: tenant alternation, priorities, FIFO, close,
+bounded per-tenant backlog."""
 
 from __future__ import annotations
 
@@ -6,8 +7,11 @@ import threading
 
 import pytest
 
+from repro.errors import BacklogFullError
 from repro.runtime.task import SimTask
+from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import FairShareScheduler, TaskUnit
+from repro.serve.schemas import MAX_TASKS_PER_REQUEST, MAX_TENANT_BACKLOG
 from tests.conftest import tiny_job
 
 
@@ -136,3 +140,20 @@ def test_backlog_and_service_accounting(task):
     _drain(scheduler, 2)
     assert scheduler.service() == {"a": 1, "b": 1}
     assert scheduler.backlog() == {"a": 2}
+
+
+def test_backlog_cap_leaves_room_for_whole_requests():
+    assert MAX_TENANT_BACKLOG >= 8 * MAX_TASKS_PER_REQUEST
+
+
+def test_batch_past_the_backlog_cap_is_refused_whole(task, monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_TENANT_BACKLOG", 3)
+    scheduler = FairShareScheduler()
+    scheduler.submit(_units(task, "a", 2))
+    with pytest.raises(BacklogFullError, match="'a'"):
+        scheduler.submit(_units(task, "b", 1) + _units(task, "a", 2))
+    assert scheduler.backlog() == {"a": 2}      # nothing of the batch queued
+    scheduler.submit(_units(task, "a", 1) + _units(task, "b", 3))
+    _drain(scheduler, 1)                         # dispatch frees room
+    scheduler.submit(_units(task, "a", 1))
+    assert scheduler.backlog() == {"a": 3, "b": 3}

@@ -14,7 +14,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from urllib.request import urlopen
+from urllib.request import Request, urlopen
 
 import pytest
 
@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.jobspec import task_from_spec
 from repro.runtime import ResultCache, SimTask
 from repro.serve import ServeClient, ServeError, SweepServer, parse_submit
+from repro.serve import scheduler as scheduler_module
 from repro.serve.server import MAX_BODY_BYTES
 from tests.conftest import tiny_job
 
@@ -207,6 +208,47 @@ class TestEndpoints:
         assert status == 413
         assert str(MAX_BODY_BYTES) in payload["error"]
         assert client.health()["ok"] is True
+
+    def test_saturated_tenant_is_429_and_leaves_no_job(self, server, client,
+                                                       monkeypatch):
+        monkeypatch.setattr(scheduler_module, "MAX_TENANT_BACKLOG", 2)
+        gate = threading.Event()
+        execute = server.backend.execute
+
+        def gated(task):
+            gate.wait(timeout=60)
+            return execute(task)
+
+        server.backend.execute = gated
+        try:
+            # Both dispatchers take one unit each and hold it ...
+            server.submit("alice", 0, _tiny_tasks())
+            deadline = time.monotonic() + 10
+            while server.scheduler.backlog():
+                assert time.monotonic() < deadline, "dispatchers idle"
+                time.sleep(0.01)
+            # ... so the next two fill alice's queue to the cap.
+            server.submit("alice", 0, _tiny_tasks())
+            spec = [{"model": "bert-0.35", "server": "dgx1", "system": "none"}]
+            with pytest.raises(ServeError) as info:
+                client.submit(tasks=spec, tenant="alice")
+            assert info.value.status == 429
+            assert "backlog" in str(info.value)
+            request = Request(
+                f"{server.url}/v1/jobs",
+                data=json.dumps({"tenant": "bob", "tasks": spec}).encode(),
+                headers={"Content-Type": "application/json"})
+            with urlopen(request, timeout=10) as response:
+                assert response.status == 202
+                accepted = json.loads(response.read())["id"]
+            # The refused job took no id and left no listing.
+            assert accepted == "j000003"
+            assert len(client.jobs()) == 3
+            assert server.registry.tenants()["alice"]["jobs"] == 2
+            assert server.scheduler.backlog() == {"alice": 2, "bob": 1}
+        finally:
+            gate.set()
+        assert client.wait(accepted, timeout=120.0)["status"] == "done"
 
     def test_malformed_wait_timeout_is_400(self, server):
         job = server.submit("alice", 0, _tiny_tasks(("none",)))
