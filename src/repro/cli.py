@@ -256,8 +256,6 @@ def _cmd_plan(args) -> int:
             "accepted_upgrades": report.accepted_upgrades,
             "n_full_sims": report.n_full_sims,
             "n_fast_path": report.n_fast_path,
-            "n_incremental_resumes": report.n_incremental_resumes,
-            "n_memoized": report.n_memoized,
             "per_gpu_peak_gib": [
                 peak / GiB for peak in report.profile.stage_peaks],
             "shape": None,

@@ -15,8 +15,7 @@ from repro.core.plan import Action, MemorySavingPlan
 from repro.core.rewriter import InstrumentedProgram
 from repro.job import TrainingJob
 from repro.sim.executor import SimulationResult
-from repro.sim.fastpath import gc_paused
-from repro.sim.incremental import IncrementalSimulator
+from repro.sim.fastpath import gc_paused, run_program
 from repro.sim.ir import ExecOptions
 from repro.sim.lowering import Lowering
 
@@ -49,15 +48,14 @@ class Emulator:
     The plan-independent lowering skeleton (data-flow program, tensor
     classification) is built once at construction and shared across
     every :meth:`run` — the planner's tighten/refine loop only pays
-    for per-plan instruction emission and interpretation.  Execution
-    goes through an :class:`~repro.sim.incremental.IncrementalSimulator`:
-    consecutive candidate programs from the shared lowering reuse the
-    engine state of their common prefix, and a candidate identical to
-    the previous one costs nothing (docs/fastpath.md).  Lowering and
-    replay run with the cyclic garbage collector paused
-    (:func:`~repro.sim.fastpath.gc_paused`): the program's large,
-    acyclic object graph would otherwise trigger repeated full
-    collections that free nothing.
+    for per-plan instruction emission and interpretation.  Each
+    candidate is replayed once by :func:`~repro.sim.fastpath.run_program`
+    and nothing of it outlives :meth:`run` except the report: no
+    program, tape or engine state is kept for the next candidate
+    (docs/fastpath.md).  Lowering and replay run with the cyclic
+    garbage collector paused (:func:`~repro.sim.fastpath.gc_paused`):
+    the program's large, acyclic object graph would otherwise trigger
+    repeated full collections that free nothing.
     """
 
     def __init__(self, job: TrainingJob, prefetch_lead: int = 2):
@@ -65,21 +63,12 @@ class Emulator:
         self.prefetch_lead = prefetch_lead
         self.options = ExecOptions(strict=False, prefetch_lead=prefetch_lead)
         self._lowering = Lowering(job, self.options)
-        self._simulator = IncrementalSimulator()
         self.n_emulations = 0
-
-    @property
-    def n_incremental_resumes(self) -> int:
-        return self._simulator.n_resumed
-
-    @property
-    def n_memoized(self) -> int:
-        return self._simulator.n_memoized
 
     def run(self, plan: MemorySavingPlan) -> EmulationReport:
         self.n_emulations += 1
         with gc_paused():
-            result = self._simulator.run(self._lowering.lower(plan))
+            result = run_program(self._lowering.lower(plan))
         capacity = self.job.server.gpu_memory
         peaks = result.memory.peaks()
         overflowed = [dev for dev, peak in enumerate(peaks) if peak > capacity]

@@ -96,10 +96,6 @@ class PlannerReport:
     # the report directly).
     n_fast_path: int = 0
     n_full_sims: int = 0
-    # Emulations the incremental simulator resumed from a snapshot or
-    # answered from its memo of the previous program.
-    n_incremental_resumes: int = 0
-    n_memoized: int = 0
     # Fault-aware planning (set when a fault profile was supplied).
     fault_profile: Optional[FaultSchedule] = None
     avoided_importers: List[int] = field(default_factory=list)
@@ -195,8 +191,9 @@ class Planner:
         report.initial_time = baseline_report.minibatch_time
         report.feasible = report.feasible and baseline_report.fits
 
+        chosen = baseline_report
         if self.config.allow_d2d:
-            plan, assignments = self._refine(
+            plan, assignments, chosen = self._refine(
                 assignments,
                 plan,
                 baseline_report,
@@ -207,11 +204,9 @@ class Planner:
                 emulator,
                 report,
             )
-        report.final_time = report.emulation_times[-1]
+        report.final_time = chosen.minibatch_time
         report.n_emulations = emulator.n_emulations
         report.n_full_sims = emulator.n_emulations
-        report.n_incremental_resumes = emulator.n_incremental_resumes
-        report.n_memoized = emulator.n_memoized
         return plan, report
 
     # -- device mapping ---------------------------------------------------
@@ -769,14 +764,14 @@ class Planner:
         rewriter: Rewriter,
         emulator: Emulator,
         report: PlannerReport,
-    ) -> Tuple[MemorySavingPlan, Dict[tuple, Assignment]]:
-        """Upgrade worst-overhead assignments to D2D, keeping wins."""
+    ) -> Tuple[MemorySavingPlan, Dict[tuple, Assignment], EmulationReport]:
+        """Upgrade worst-overhead assignments to D2D, keeping wins.
+
+        Returns the chosen plan with its assignments and emulation.
+        """
         config = self.config
         blacklist: set = set()
         classes_by_key = {cls.key: cls for cls in profile.classes}
-        best_time = current.minibatch_time
-        best_fits = current.fits
-        best_peaks = current.device_peaks
         for _ in range(config.max_refine_iterations):
             report.refine_iterations += 1
             candidates = self._refine_candidates(
@@ -784,7 +779,7 @@ class Planner:
             )
             if not candidates:
                 break
-            budgets = self._global_headroom(best_peaks)
+            budgets = self._global_headroom(current.device_peaks)
             if config.search == "coarse2fine":
                 candidates = self._coarse_frontier(
                     candidates, classes_by_key, cost_model, budgets,
@@ -810,18 +805,17 @@ class Planner:
             new_plan = self._instrument(rewriter, tentative, device_map)
             trial = emulator.run(new_plan)
             report.emulation_times.append(trial.minibatch_time)
-            improved = trial.minibatch_time < best_time * (1.0 - config.improvement_eps)
-            fits_ok = trial.fits or not best_fits
+            improved = trial.minibatch_time < current.minibatch_time * (
+                1.0 - config.improvement_eps)
+            fits_ok = trial.fits or not current.fits
             if improved and fits_ok:
                 assignments = tentative
                 plan = new_plan
-                best_time = trial.minibatch_time
-                best_fits = trial.fits
-                best_peaks = trial.device_peaks
+                current = trial
                 report.accepted_upgrades += len(upgraded)
             else:
                 blacklist.update(upgraded)
-        return plan, assignments
+        return plan, assignments, current
 
     def _coarse_frontier(
         self,

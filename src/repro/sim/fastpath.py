@@ -38,9 +38,9 @@ forces the reference :class:`~repro.sim.interpreter.Interpreter`;
 dispatch so tests can assert which path fired.
 
 The interpreter can also snapshot its complete machine state every few
-hundred completions; :mod:`repro.sim.incremental` resumes a later,
-slightly different program of the same :class:`~repro.sim.lowering.Lowering`
-from the newest snapshot that precedes the first divergence.
+hundred completions for :mod:`repro.sim.incremental`.  No production
+path takes snapshots: the planner's emulator replays every candidate
+program in full through :func:`run_program`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,18 @@
-"""Incremental re-simulation across planner candidates.
+"""Incremental re-simulation across a sequence of related programs.
 
-The planner's refinement loop lowers one :class:`~repro.sim.lowering.Lowering`
-into a *sequence* of programs that differ only where the candidate
-plan changed a tensor class's action.  :func:`diff_programs` compares
-two such programs by instruction name and computes a conservative
-**divergence horizon** ``safe_time``: a simulated instant strictly
-before which the two runs are provably event-for-event identical.
+No production path uses this module: the planner's
+:class:`~repro.core.emulator.Emulator` replays each candidate once
+with :func:`~repro.sim.fastpath.run_program`, because on the paper's
+plan jobs no candidate ever resumed or hit the memo
+(docs/fastpath.md).  It is kept for the benchmark harnesses that
+still import it and goes when they do.
+
+One :class:`~repro.sim.lowering.Lowering` lowers a *sequence* of
+programs that differ only where a plan changed a tensor class's
+action.  :func:`diff_programs` compares two such programs by
+instruction name and computes a conservative **divergence horizon**
+``safe_time``: a simulated instant strictly before which the two runs
+are provably event-for-event identical.
 :class:`IncrementalSimulator` then replays only the suffix — it
 restores the newest :class:`~repro.sim.fastpath.EngineSnapshot` taken
 before ``safe_time`` and lets the event loop run to completion on the

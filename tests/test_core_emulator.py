@@ -1,10 +1,14 @@
 """Emulator feedback tests (Fig. 5 step 5)."""
 
+import weakref
+
 import pytest
 
 from repro.core.emulator import Emulator
 from repro.core.plan import Action, PlanEntry, empty_plan
 from repro.graph.tensor import TensorKind, tensor_classes_for
+from repro.runtime.task import trace_digest
+from repro.sim.fastpath import fast_path_runs, reference_runs
 from repro.units import MiB
 
 from tests.conftest import small_server, tiny_job, tiny_model
@@ -111,3 +115,51 @@ def test_one_emulator_reuses_its_lowering_skeleton():
     emulator.run(empty_plan(job.n_stages))
     assert skeleton_build_count() == before + 1
     assert emulator.n_emulations == 2
+
+
+def _recompute_plan(job):
+    plan = empty_plan(job.n_stages)
+    classes = tensor_classes_for(
+        job.stage_plan, job.schedule, job.microbatch_size, job.bytes_per_element
+    )
+    for cls in classes:
+        if cls.kind is TensorKind.ACTIVATION and cls.stage == 0:
+            plan.assign(PlanEntry(cls=cls, action=Action.RECOMPUTE))
+    return plan
+
+
+def test_each_run_is_one_fast_path_replay():
+    job = _pressured_job()
+    plan = _recompute_plan(job)
+    emulator = Emulator(job)
+    reports = []
+    for _ in range(2):
+        fast, reference = fast_path_runs(), reference_runs()
+        reports.append(emulator.run(plan))
+        assert fast_path_runs() == fast + 1
+        assert reference_runs() == reference
+    first, second = reports
+    assert first.minibatch_time.hex() == second.minibatch_time.hex()
+    assert first.device_peaks == second.device_peaks
+    assert trace_digest(first.result.trace) == trace_digest(second.result.trace)
+
+
+def test_nothing_outlives_a_run_but_the_report():
+    # The lowered program must be freed by reference counting as soon
+    # as run() returns: no candidate's program, tape or engine state
+    # is kept for the next one.
+    job = _pressured_job()
+    emulator = Emulator(job)
+    lower = emulator._lowering.lower
+    programs = []
+
+    def lower_and_watch(plan):
+        program = lower(plan)
+        programs.append(weakref.ref(program))
+        return program
+
+    emulator._lowering.lower = lower_and_watch
+    report = emulator.run(_recompute_plan(job))
+    assert report.result.ok
+    assert len(programs) == 1
+    assert programs[0]() is None

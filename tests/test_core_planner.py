@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import bert_variant, dgx1_server, pipedream_job
+from repro.core.emulator import Emulator
 from repro.core.plan import Action
 from repro.core.planner import Planner, PlannerConfig, baseline_config
 from repro.graph.tensor import TensorKind
@@ -44,6 +46,14 @@ class TestFullPlanner:
         _, report = Planner(job, PlannerConfig()).build()
         assert report.emulation_times
         assert report.final_time > 0
+
+    def test_final_time_is_the_returned_plans_emulation(self):
+        # BERT-1.67's last refine trial overflows GPU 1 and is
+        # rejected, so the last emulated time is not the plan's.
+        job = pipedream_job(bert_variant(1.67), dgx1_server())
+        plan, report = Planner(job, PlannerConfig()).build()
+        assert report.emulation_times[-1] != report.final_time
+        assert report.final_time == Emulator(job).run(plan).minibatch_time
 
     def test_only_overflowing_stages_touched(self):
         job = _pressured_job()

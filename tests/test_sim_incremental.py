@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.emulator import Emulator
 from repro.core.mpress import MPress
 from repro.core.planner import Planner, PlannerConfig
 from repro.sim.incremental import (
@@ -159,14 +158,6 @@ class TestResume:
 
 
 class TestPlannerIntegration:
-    def test_emulator_surfaces_incremental_counters(self, pool):
-        job, plan, _lowering = pool
-        emulator = Emulator(job)
-        emulator.run(plan)
-        emulator.run(plan)
-        assert emulator.n_memoized == 1
-        assert emulator.n_incremental_resumes == 0
-
     def test_coarse2fine_builds_skeleton_once(self):
         """A whole coarse-to-fine search — tighten rounds, frontier
         pricing, refine trials — shares one lowering skeleton."""
