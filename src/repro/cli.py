@@ -256,8 +256,7 @@ def _cmd_plan(args) -> int:
             "accepted_upgrades": report.accepted_upgrades,
             "n_full_sims": report.n_full_sims,
             "n_fast_path": report.n_fast_path,
-            "per_gpu_peak_gib": [
-                peak / GiB for peak in report.profile.stage_peaks],
+            "per_gpu_peak_gib": [peak / GiB for peak in report.final_peaks],
             "shape": None,
             "mapping": None,
         }

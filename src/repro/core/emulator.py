@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.plan import Action, MemorySavingPlan
-from repro.core.rewriter import InstrumentedProgram
 from repro.job import TrainingJob
 from repro.sim.executor import SimulationResult
 from repro.sim.fastpath import gc_paused, run_program
@@ -80,6 +79,3 @@ class Emulator:
             saved_by_action=plan.saved_by_action(),
             result=result,
         )
-
-    def run_program(self, program: InstrumentedProgram) -> EmulationReport:
-        return self.run(program.plan)

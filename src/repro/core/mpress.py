@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.emulator import EmulationReport
 from repro.core.plan import MemorySavingPlan
 from repro.core.planner import Planner, PlannerConfig, PlannerReport, baseline_config
 from repro.faults.spec import FaultSchedule
@@ -56,6 +57,8 @@ class MPress:
         self.reserve_bytes = reserve_bytes
         self._plan: Optional[MemorySavingPlan] = None
         self._report: Optional[PlannerReport] = None
+        # The planner's emulation of ``_plan``, until run() takes it.
+        self._accepted: Optional[EmulationReport] = None
 
     def build_plan(self) -> MemorySavingPlan:
         """Run MPress Static (profiler/planner/rewriter/emulator loop)."""
@@ -63,6 +66,7 @@ class MPress:
             planner = Planner(self.job, self.config, faults=self.faults,
                               reserve_bytes=self.reserve_bytes)
             self._plan, self._report = planner.build()
+            self._accepted = planner.accepted
         return self._plan
 
     @property
@@ -72,21 +76,49 @@ class MPress:
         return self._report
 
     def run(self) -> MPressResult:
-        """Plan, then execute under strict memory constraints."""
+        """Plan, then execute under strict memory constraints.
+
+        A fault-free run whose accepted emulation saw no overflow
+        reuses that replay as the strict run: the emulator differs
+        only in not raising where a book peaks above its capacity.
+        An overflow (the strict run's OOM) or a fault schedule (which
+        the emulator does not inject) replays the plan with
+        ``strict=True``, as does a second call, so no two results
+        share a simulation.
+        """
         plan = self.build_plan()
-        simulation = simulate(
-            self.job,
-            plan,
-            strict=True,
-            prefetch_lead=self.config.prefetch_lead,
-            faults=self.faults,
-        )
+        simulation = self._take_accepted(plan)
+        if simulation is None:
+            simulation = simulate(
+                self.job,
+                plan,
+                strict=True,
+                prefetch_lead=self.config.prefetch_lead,
+                faults=self.faults,
+            )
         return MPressResult(
             job=self.job,
             plan=plan,
             planner_report=self.planner_report,
             simulation=simulation,
         )
+
+    def _take_accepted(self, plan: MemorySavingPlan) -> Optional[SimulationResult]:
+        """The accepted emulation's result if it proves the strict run.
+
+        The emulation is handed over once, and released here either
+        way, so a strict replay never runs with it still alive.
+        """
+        accepted, self._accepted = self._accepted, None
+        if (
+            accepted is not None
+            and accepted.plan is plan
+            and (self.faults is None or self.faults.is_empty)
+            and accepted.result.ok
+            and not accepted.result.memory.any_overflow()
+        ):
+            return accepted.result
+        return None
 
 
 def run_system(

@@ -84,6 +84,9 @@ class PlannerReport:
     feasible: bool
     initial_time: float = 0.0
     final_time: float = 0.0
+    # Per-GPU peak bytes of the returned plan's emulation, indexed by
+    # device (set together with ``final_time``).
+    final_peaks: List[int] = field(default_factory=list)
     refine_iterations: int = 0
     accepted_upgrades: int = 0
     emulation_times: List[float] = field(default_factory=list)
@@ -131,6 +134,10 @@ class Planner:
         self._target = (
             int(self._capacity * (1.0 - config.fit_margin)) - self.reserve_bytes
         )
+        # The emulation of the plan the last build() returned; MPress
+        # may reuse it as the strict run (it stays out of the report,
+        # which outlives the run).
+        self.accepted: Optional[EmulationReport] = None
 
     # -- public API --------------------------------------------------------
 
@@ -205,6 +212,8 @@ class Planner:
                 report,
             )
         report.final_time = chosen.minibatch_time
+        report.final_peaks = chosen.device_peaks
+        self.accepted = chosen
         report.n_emulations = emulator.n_emulations
         report.n_full_sims = emulator.n_emulations
         return plan, report

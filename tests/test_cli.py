@@ -431,6 +431,23 @@ class TestPlanJson:
         assert mapping["score"] > 0
         assert 0.0 < mapping["placed_fraction"] <= 1.0
 
+    def test_plan_json_peaks_are_the_returned_plans_emulated_peaks(
+            self, capsys, tmp_path):
+        from repro import bert_variant, dgx1_server, pipedream_job
+        from repro.core.emulator import Emulator
+        from repro.core.serialization import load_plan
+        from repro.units import GiB
+
+        out = tmp_path / "plan.json"
+        code = main(["plan", "--model", "bert-0.64", "--json",
+                     "--out", str(out)])
+        assert code == 0
+        peaks = json.loads(capsys.readouterr().out)["per_gpu_peak_gib"]
+        job = pipedream_job(bert_variant(0.64), dgx1_server())
+        assert all(peak <= job.server.gpu_memory / GiB for peak in peaks)
+        emulated = Emulator(job, prefetch_lead=2).run(load_plan(out))
+        assert peaks == [peak / GiB for peak in emulated.device_peaks]
+
     def test_plan_json_cluster_shape(self, capsys):
         code = main([
             "plan", "--model", "gpt-5.3", "--nodes", "2", "--tp", "2",
