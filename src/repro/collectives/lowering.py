@@ -14,19 +14,18 @@ precision (modulo ceil-division of striped chunks), which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.hardware.bandwidth import transfer_time
 from repro.hardware.server import Server
 from repro.collectives.schedule import CollectiveSchedule
 from repro.sim.ir import (
+    RECORD,
     Barrier,
     ExecOptions,
     InstructionProgram,
     P2PSend,
-    Record,
-    _InstructionDraft,
-    freeze_draft,
+    ProgramBuilder,
 )
 
 
@@ -58,26 +57,7 @@ def lower_collective(server: Server, schedule: CollectiveSchedule,
     if options is None:
         options = ExecOptions(record_trace=False)
     topology = server.topology
-    drafts: List[_InstructionDraft] = []
-    edges: List[Tuple[int, int]] = []
-    stream_order: List[Tuple[Hashable, str]] = []
-    seen_streams = set()
-
-    def emit(factory, name: str, stream: Hashable, duration: float,
-             device: int, deps: Tuple[int, ...], done=(), **fields) -> int:
-        if stream not in seen_streams:
-            seen_streams.add(stream)
-            stream_order.append((stream, "pool"))
-        iid = len(drafts)
-        drafts.append(_InstructionDraft(
-            factory=factory, iid=iid, name=name, stream=stream, mode="pool",
-            duration=duration, device=device, done_effects=list(done),
-            fields=dict(fields),
-        ))
-        for producer in deps:
-            edges.append((iid, producer))
-        return iid
-
+    builder = ProgramBuilder()
     root = schedule.group[0]
     gate: Tuple[int, ...] = ()
     for round_index, steps in enumerate(schedule.rounds):
@@ -86,33 +66,35 @@ def lower_collective(server: Server, schedule: CollectiveSchedule,
         sends: List[int] = []
         for step in steps:
             lanes = topology.lanes(step.src, step.dst)
-            record = ((Record("coll", step.src, round_index),)
-                      if options.record_trace else ())
+            record = ([(RECORD, "coll", step.src, round_index, -1)]
+                      if options.record_trace else None)
             if lanes > 0:
                 link = topology.link_for(step.src, step.dst)
                 channels = topology.lane_channels(step.src, step.dst)[:lanes]
                 share = max(1, -(-step.size // lanes))
                 for lane_index, channel in enumerate(channels):
-                    sends.append(emit(
+                    sends.append(builder.emit(
                         P2PSend,
                         name=(f"coll.{schedule.op}.r{round_index}"
                               f".{step.src}->{step.dst}.l{lane_index}"),
                         stream=channel,
+                        mode="pool",
                         duration=transfer_time(share, link, lanes=1),
                         device=step.src,
                         deps=gate,
-                        done=record if lane_index == 0 else (),
+                        done=record if lane_index == 0 else None,
                         src=step.src,
                         dst=step.dst,
                     ))
             else:
                 # No direct link: stage through the host like the
                 # pipeline's PCIe fallback (up then down).
-                sends.append(emit(
+                sends.append(builder.emit(
                     P2PSend,
                     name=(f"coll.{schedule.op}.r{round_index}"
                           f".{step.src}->{step.dst}.pcie"),
                     stream=("pcie_d2h", step.src),
+                    mode="pool",
                     duration=2.0 * transfer_time(step.size, server.pcie, lanes=1),
                     device=step.src,
                     deps=gate,
@@ -120,26 +102,18 @@ def lower_collective(server: Server, schedule: CollectiveSchedule,
                     src=step.src,
                     dst=step.dst,
                 ))
-        join = emit(
+        join = builder.emit(
             Barrier,
             name=f"coll.{schedule.op}.r{round_index}.join",
             stream=("collective", root),
+            mode="pool",
             duration=0.0,
             device=root,
             deps=tuple(sends),
         )
         gate = (join,)
 
-    job = _CollectiveJob(server=server)
-    return InstructionProgram(
-        job=job,
-        plan=_CollectivePlan(root),
-        options=options,
-        instructions=tuple(freeze_draft(draft) for draft in drafts),
-        edges=tuple(edges),
-        static_effects=(),
-        stream_order=tuple(stream_order),
-    )
+    return builder.finish(_CollectiveJob(server=server), _CollectivePlan(root), options)
 
 
 def simulate_collective(server: Server, schedule: CollectiveSchedule,

@@ -2,9 +2,10 @@
 
 The scheduler decided *what* happens each continuous-batching
 iteration; this module decides *when*, by emitting the same typed
-instructions training lowers to (`repro.sim.ir`) so both interpreters
-— reference and fast path — replay serving with real link timings,
-strict memory books, traces, and fault hooks, unchanged.
+instructions training lowers to, through the same
+:class:`~repro.sim.ir.ProgramBuilder`, so both interpreters — reference
+and fast path — replay serving with real link timings, strict memory
+books, traces, and fault hooks, unchanged.
 
 Program shape per iteration:
 
@@ -36,22 +37,23 @@ from repro.inference.workload import InferenceConfig, generate_requests
 from repro.models.layers import ModelSpec
 from repro.pipeline.schedule import continuous_schedule
 from repro.sim.ir import (
+    ALLOC,
+    DROP,
     HOST,
+    HOST_BOOK,
+    PIN,
+    RECORD,
+    UNPIN,
     Alloc,
     Barrier,
     Compute,
-    Drop,
     ExecOptions,
     InstructionProgram,
     P2PRecv,
     P2PSend,
-    Pin,
-    Record,
+    ProgramBuilder,
     SwapIn,
     SwapOut,
-    Unpin,
-    _InstructionDraft,
-    freeze_draft,
 )
 
 KV_TAG = "kv"
@@ -97,11 +99,8 @@ class _ServingLowering:
         self.options = options
         self.server = cost.server
         self.topology = cost.server.topology
-        self.drafts: List[_InstructionDraft] = []
-        self.edges: List[Tuple[int, int]] = []
+        self.builder = ProgramBuilder()
         self.static_effects: List[Alloc] = []
-        self.stream_order: List[Tuple[Hashable, str]] = []
-        self._seen_streams: set = set()
         # Per stage device: last compute iid (swap-outs serialize after it).
         self._last_compute: Dict[int, int] = {}
         # (rid, stage) -> iid of the open suspension's out-join.
@@ -112,49 +111,6 @@ class _ServingLowering:
         self._prev_gate_time = 0.0
         # (rid, stage) -> StripePlan of the open D2D suspension.
         self._stripe_plans: Dict[Tuple[int, int], object] = {}
-
-    # -- builder primitives (mirrors sim.lowering._PlanLowering) -----------
-
-    def _touch_stream(self, key: Hashable, mode: str) -> None:
-        if key not in self._seen_streams:
-            self._seen_streams.add(key)
-            self.stream_order.append((key, mode))
-
-    def _emit(
-        self,
-        factory: type,
-        name: str,
-        stream: Hashable,
-        mode: str,
-        duration: float,
-        deps: Tuple[int, ...] = (),
-        start: Tuple = (),
-        done: Tuple = (),
-        device=0,
-        **fields,
-    ) -> int:
-        self._touch_stream(stream, mode)
-        iid = len(self.drafts)
-        self.drafts.append(
-            _InstructionDraft(
-                factory=factory,
-                iid=iid,
-                name=name,
-                stream=stream,
-                mode=mode,
-                duration=duration,
-                device=device,
-                start_effects=list(start),
-                done_effects=list(done),
-                fields=dict(fields),
-            )
-        )
-        for dep in deps:
-            self.edges.append((iid, dep))
-        return iid
-
-    def _edge(self, consumer: int, producer: int) -> None:
-        self.edges.append((consumer, producer))
 
     def _gate(self, iteration: int, device: int, iid: int) -> None:
         self._gates.setdefault(iteration, {}).setdefault(device, []).append(iid)
@@ -179,18 +135,18 @@ class _ServingLowering:
         anchor = self._last_compute.get(device)
         deps = (anchor,) if anchor is not None else ()
         if self.config.kv_swap == "pcie":
-            out = self._emit(
+            out = self.builder.emit(
                 SwapOut,
                 name=f"kvout.r{decision.rid}.s{decision.stage}",
                 stream=("pcie_d2h", device),
                 mode="pool",
                 duration=transfer_time(decision.size, self.server.pcie, lanes=1),
                 deps=deps,
-                start=(Alloc(device=HOST, size=decision.size, tag=tag),
-                       Pin(size=decision.size)),
-                done=(Drop(device=device, size=decision.size, tag=KV_TAG),
-                      Unpin(size=decision.size),
-                      Record("swap_out", device, decision.out_iteration)),
+                start=[(ALLOC, HOST_BOOK, decision.size, tag),
+                       (PIN, decision.size)],
+                done=[(DROP, device, decision.size, KV_TAG),
+                      (UNPIN, decision.size),
+                      (RECORD, "swap_out", device, decision.out_iteration, -1)],
                 device=device,
                 tag=tag,
                 size=decision.size,
@@ -206,28 +162,28 @@ class _ServingLowering:
         sends = []
         for k, block in enumerate(plan.blocks):
             sends.append(
-                self._emit(
+                self.builder.emit(
                     P2PSend,
                     name=f"kvout.r{decision.rid}.s{decision.stage}.b{k}",
                     stream=block.lane,
                     mode="pool",
                     duration=transfer_time(block.size, self.topology.nvlink, lanes=1),
                     deps=deps,
-                    start=(Alloc(device=block.importer, size=block.size, tag=tag),),
+                    start=[(ALLOC, block.importer, block.size, tag)],
                     device=device,
                     src=device,
                     dst=block.importer,
                 )
             )
-        out_join = self._emit(
+        out_join = self.builder.emit(
             Barrier,
             name=f"kvout.r{decision.rid}.s{decision.stage}",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=tuple(sends),
-            done=(Drop(device=device, size=decision.size, tag=KV_TAG),
-                  Record("swap_out", device, decision.out_iteration)),
+            done=[(DROP, device, decision.size, KV_TAG),
+                  (RECORD, "swap_out", device, decision.out_iteration, -1)],
             device=device,
         )
         self._out_join[(decision.rid, decision.stage)] = out_join
@@ -241,18 +197,18 @@ class _ServingLowering:
         out_join = self._out_join.pop((decision.rid, decision.stage))
         iteration = decision.in_iteration
         if self.config.kv_swap == "pcie":
-            back = self._emit(
+            back = self.builder.emit(
                 SwapIn,
                 name=f"kvin.r{decision.rid}.s{decision.stage}",
                 stream=("pcie_h2d", device),
                 mode="pool",
                 duration=transfer_time(decision.size, self.server.pcie, lanes=1),
                 deps=(out_join,),
-                start=(Alloc(device=device, size=decision.size, tag=KV_TAG),
-                       Pin(size=decision.size)),
-                done=(Drop(device=HOST, size=decision.size, tag=tag),
-                      Unpin(size=decision.size),
-                      Record("swap_in", device, iteration)),
+                start=[(ALLOC, device, decision.size, KV_TAG),
+                       (PIN, decision.size)],
+                done=[(DROP, HOST_BOOK, decision.size, tag),
+                      (UNPIN, decision.size),
+                      (RECORD, "swap_in", device, iteration, -1)],
                 device=device,
                 tag=tag,
                 size=decision.size,
@@ -260,40 +216,40 @@ class _ServingLowering:
             self._gate(iteration, device, back)
             return
         plan = self._stripe_plans.pop((decision.rid, decision.stage))
-        in_begin = self._emit(
+        in_begin = self.builder.emit(
             Barrier,
             name=f"kvin.r{decision.rid}.s{decision.stage}.begin",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=(out_join,),
-            done=(Alloc(device=device, size=decision.size, tag=KV_TAG),),
+            done=[(ALLOC, device, decision.size, KV_TAG)],
             device=device,
         )
         recvs = []
         for k, block in enumerate(plan.blocks):
             recvs.append(
-                self._emit(
+                self.builder.emit(
                     P2PRecv,
                     name=f"kvin.r{decision.rid}.s{decision.stage}.b{k}",
                     stream=block.return_lane,
                     mode="pool",
                     duration=transfer_time(block.size, self.topology.nvlink, lanes=1),
                     deps=(in_begin,),
-                    done=(Drop(device=block.importer, size=block.size, tag=tag),),
+                    done=[(DROP, block.importer, block.size, tag)],
                     device=device,
                     src=block.importer,
                     dst=device,
                 )
             )
-        in_join = self._emit(
+        in_join = self.builder.emit(
             Barrier,
             name=f"kvin.r{decision.rid}.s{decision.stage}",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=tuple(recvs),
-            done=(Record("swap_in", device, iteration),),
+            done=[(RECORD, "swap_in", device, iteration, -1)],
             device=device,
         )
         self._gate(iteration, device, in_join)
@@ -304,7 +260,7 @@ class _ServingLowering:
         delta = max(0.0, gate_time - self._prev_gate_time)
         self._prev_gate_time = max(self._prev_gate_time, gate_time)
         deps = (self._prev_arrival,) if self._prev_arrival is not None else ()
-        iid = self._emit(
+        iid = self.builder.emit(
             Barrier,
             name=f"arrive.i{iteration}",
             stream=("arrivals",),
@@ -330,14 +286,14 @@ class _ServingLowering:
             if prev_stage is not None:
                 deps.append(prev_stage)
             deps.extend(self._gates.get(iteration, {}).get(device, ()))
-            start = ()
+            start = None
             if record.kv_alloc[stage]:
-                start = (Alloc(device=device, size=record.kv_alloc[stage], tag=KV_TAG),)
-            done: List = []
+                start = [(ALLOC, device, record.kv_alloc[stage], KV_TAG)]
+            done: List[tuple] = []
             if record.kv_free[stage]:
-                done.append(Drop(device=device, size=record.kv_free[stage], tag=KV_TAG))
-            done.append(Record("step", device, iteration, layer=stage))
-            compute = self._emit(
+                done.append((DROP, device, record.kv_free[stage], KV_TAG))
+            done.append((RECORD, "step", device, iteration, stage))
+            compute = self.builder.emit(
                 Compute,
                 name=f"serve.i{iteration}.s{stage}",
                 stream=("compute", device),
@@ -345,7 +301,7 @@ class _ServingLowering:
                 duration=record.stage_durations[stage],
                 deps=tuple(deps),
                 start=start,
-                done=tuple(done),
+                done=done,
                 device=device,
                 stage=stage,
                 microbatch=iteration,
@@ -371,7 +327,7 @@ class _ServingLowering:
             # Non-adjacent stages fall back to staged PCIe.
             link = self.server.pcie
             stream = ("pcie_p2p", src, dst)
-        return self._emit(
+        return self.builder.emit(
             P2PSend,
             name=f"bound.i{iteration}.s{stage}",
             stream=stream,
@@ -406,15 +362,7 @@ class _ServingLowering:
             total_flops=self.tape.total_flops,
         )
         plan = ServingPlanView(n_stages=self.cost.n_stages)
-        return InstructionProgram(
-            job=job,
-            plan=plan,
-            options=self.options,
-            instructions=tuple(freeze_draft(d) for d in self.drafts),
-            edges=tuple(self.edges),
-            static_effects=tuple(self.static_effects),
-            stream_order=tuple(self.stream_order),
-        )
+        return self.builder.finish(job, plan, self.options, self.static_effects)
 
 
 def build_serving_program(

@@ -27,7 +27,7 @@ from repro.sim.events import (
     MemoryCounterSampler,
     TraceRecorder,
 )
-from repro.sim.ir import ExecOptions, InstructionProgram
+from repro.sim.ir import ExecOptions, InstructionProgram, ProgramBuilder, ProgramTape
 
 # The lowering/interpreter/executor layers import planner-side modules
 # (repro.core.plan), which themselves reach back into repro.sim via
@@ -40,10 +40,9 @@ _LAZY = {
     "SimulationResult": ("repro.sim.interpreter", "SimulationResult"),
     "PipelineExecutor": ("repro.sim.executor", "PipelineExecutor"),
     "simulate": ("repro.sim.executor", "simulate"),
-    # Fast path: compiled tape replay, dispatch, and incremental
-    # re-simulation across planner candidates (docs/fastpath.md).
+    # Fast path: tape replay, dispatch, and incremental re-simulation
+    # across planner candidates (docs/fastpath.md).
     "FastInterpreter": ("repro.sim.fastpath", "FastInterpreter"),
-    "ProgramTape": ("repro.sim.fastpath", "ProgramTape"),
     "run_program": ("repro.sim.fastpath", "run_program"),
     "wants_fast_path": ("repro.sim.fastpath", "wants_fast_path"),
     "fast_path_runs": ("repro.sim.fastpath", "fast_path_runs"),
@@ -95,6 +94,8 @@ __all__ = [
     "MemoryCounterSampler",
     "ExecOptions",
     "InstructionProgram",
+    "ProgramBuilder",
+    "ProgramTape",
     "Lowering",
     "skeleton_build_count",
     "Interpreter",
@@ -102,7 +103,6 @@ __all__ = [
     "PipelineExecutor",
     "simulate",
     "FastInterpreter",
-    "ProgramTape",
     "run_program",
     "wants_fast_path",
     "fast_path_runs",

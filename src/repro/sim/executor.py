@@ -49,7 +49,7 @@ class PipelineExecutor:
         self.plan = self.program.plan
 
     def run(self) -> SimulationResult:
-        # Unobserved fault-free runs take the compiled fast path; runs
+        # Unobserved fault-free runs take the tape fast path; runs
         # with a fault schedule replay on the reference interpreter.
         # Both produce bit-identical results (docs/fastpath.md).
         return run_program(self.program)

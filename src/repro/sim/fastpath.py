@@ -1,11 +1,12 @@
-"""Unobserved fast path: compiled event-tape replay of a program.
+"""Unobserved fast path: event-tape replay of a program.
 
 :class:`FastInterpreter` replays an :class:`~repro.sim.ir.InstructionProgram`
 without building :class:`~repro.sim.engine.Task` objects, effect
-closures, or an :class:`~repro.sim.events.EventBus`.  The program is
-compiled once into a :class:`ProgramTape` — flat numpy/array tapes of
-durations, stream bindings, dependency counts, and opcode-encoded
-effects — and the event loop walks those tapes directly.  Memory
+closures, or an :class:`~repro.sim.events.EventBus`.  Lowering writes
+the tape: every program carries a :class:`~repro.sim.ir.ProgramTape`
+— flat columns of durations, stream bindings, dependency counts, and
+opcode-encoded effects — and the event loop walks those columns
+directly, with no compile pass and no typed instructions.  Memory
 accounting still goes through the *real*
 :class:`~repro.sim.memory.DeviceMemory` books and
 :class:`~repro.sim.memory.PinnedPool`, so peaks, per-tag holdings,
@@ -51,27 +52,24 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.sim.interpreter import Interpreter, SimulationResult
 from repro.sim.ir import (
+    ALLOC,
+    DROP,
     HOST,
-    Alloc,
-    Drop,
+    PIN,
+    UNPIN,
     InstructionProgram,
-    Pin,
-    Record,
-    Unpin,
+    ProgramTape,
 )
 from repro.sim.memory import MemoryModel, PinnedPool
 from repro.sim.trace import CounterSample, Trace, TraceEvent
 
 __all__ = [
     "FastInterpreter",
-    "ProgramTape",
     "EngineSnapshot",
     "gc_paused",
     "run_program",
@@ -81,118 +79,8 @@ __all__ = [
     "reset_run_counters",
 ]
 
-# Effect opcodes on the compiled tape.
-_ALLOC, _DROP, _PIN, _UNPIN, _RECORD = 0, 1, 2, 3, 4
-
 # Task states (mirrors engine.TaskState, as small ints).
 _PENDING, _RUNNING, _DONE = 0, 1, 2
-
-
-class ProgramTape:
-    """One program compiled to flat evaluation tapes.
-
-    Compilation is vectorized where arrays help (durations via
-    ``np.fromiter``, dependency fan-in via ``np.bincount`` over the
-    edge tape); the hot loop then indexes plain lists, which is what a
-    data-dependent arbitration loop evaluates fastest in CPython.  A
-    tape is immutable and reusable across any number of runs of the
-    same program.
-    """
-
-    __slots__ = (
-        "program",
-        "n",
-        "names",
-        "durations",
-        "stream_keys",
-        "stream_modes",
-        "stream_of",
-        "members",
-        "pos_in_stream",
-        "dep_count",
-        "dependents",
-        "start_effects",
-        "done_effects",
-        "n_gpus",
-    )
-
-    def __init__(self, program: InstructionProgram):
-        self.program = program
-        instrs = program.instructions
-        n = len(instrs)
-        self.n = n
-        self.names: List[str] = [i.name for i in instrs]
-        self.durations: List[float] = np.fromiter(
-            (i.duration for i in instrs), dtype=np.float64, count=n
-        ).tolist()
-        self.n_gpus = len(program.job.server.gpus)
-
-        # Streams, in the recorded registration order; any stream a
-        # program somehow uses without recording registers at first
-        # submission, exactly as StreamSet.get would.
-        index_of: Dict[Hashable, int] = {}
-        self.stream_keys: List[Hashable] = []
-        self.stream_modes: List[str] = []
-        for key, mode in program.stream_order:
-            if key not in index_of:
-                index_of[key] = len(self.stream_keys)
-                self.stream_keys.append(key)
-                self.stream_modes.append(mode)
-        stream_of: List[int] = []
-        for instr in instrs:
-            s = index_of.get(instr.stream)
-            if s is None:
-                s = len(self.stream_keys)
-                index_of[instr.stream] = s
-                self.stream_keys.append(instr.stream)
-                self.stream_modes.append(instr.stream_mode)
-            stream_of.append(s)
-        self.stream_of = stream_of
-        self.members: List[List[int]] = [[] for _ in self.stream_keys]
-        self.pos_in_stream: List[int] = []
-        for iid, s in enumerate(stream_of):
-            self.pos_in_stream.append(len(self.members[s]))
-            self.members[s].append(iid)
-
-        # Dependency fan-in per consumer and the per-producer dependent
-        # list in edge-declaration order (drives wake-up order).
-        if program.edges:
-            edge_arr = np.asarray(program.edges, dtype=np.int64)
-            self.dep_count: List[int] = np.bincount(
-                edge_arr[:, 0], minlength=n
-            ).tolist()
-        else:
-            self.dep_count = [0] * n
-        dependents: List[List[int]] = [[] for _ in range(n)]
-        for consumer, producer in program.edges:
-            dependents[producer].append(consumer)
-        self.dependents = dependents
-
-        self.start_effects = [self._compile(i.start_effects) for i in instrs]
-        self.done_effects = [self._compile(i.done_effects) for i in instrs]
-
-    def _compile(self, effects) -> Optional[List[tuple]]:
-        """Encode an effect list as opcode tuples (book index -1 = host)."""
-        if not effects:
-            return None
-        ops: List[tuple] = []
-        for eff in effects:
-            if isinstance(eff, Alloc):
-                ops.append((_ALLOC, -1 if eff.device == HOST else eff.device,
-                            eff.size, eff.tag))
-            elif isinstance(eff, Drop):
-                ops.append((_DROP, -1 if eff.device == HOST else eff.device,
-                            eff.size, eff.tag))
-            elif isinstance(eff, Pin):
-                ops.append((_PIN, eff.size))
-            elif isinstance(eff, Unpin):
-                ops.append((_UNPIN, eff.size))
-            elif isinstance(eff, Record):
-                ops.append((_RECORD, eff.kind, eff.device, eff.microbatch,
-                            eff.layer))
-            else:  # pragma: no cover - exhaustive over Effect
-                raise TypeError(f"unknown effect {eff!r}")
-        return ops
 
 
 @dataclass
@@ -227,17 +115,12 @@ class EngineSnapshot:
 class FastInterpreter:
     """Single-use tape replay of one program (no bus, no Task objects)."""
 
-    def __init__(
-        self,
-        program: InstructionProgram,
-        tape: Optional[ProgramTape] = None,
-        snapshot_every: int = 0,
-    ):
+    def __init__(self, program: InstructionProgram, snapshot_every: int = 0):
         self.program = program
         self.job = program.job
         self.plan = program.plan
         self.options = program.options
-        self.tape = tape if tape is not None else ProgramTape(program)
+        self.tape: ProgramTape = program.tape
         options = program.options
         job = program.job
         capacities = [
@@ -430,25 +313,25 @@ class FastInterpreter:
         record = self._record
         for op in effects:
             code = op[0]
-            if code == _ALLOC:
+            if code == ALLOC:
                 book = books[op[1]]
                 book.alloc(op[2], now, tag=op[3])
                 if record and op[1] >= 0:
                     self.trace.counters.append(
                         CounterSample(device=op[1], time=now, bytes_in_use=book.in_use)
                     )
-            elif code == _DROP:
+            elif code == DROP:
                 book = books[op[1]]
                 book.free(op[2], now, tag=op[3])
                 if record and op[1] >= 0:
                     self.trace.counters.append(
                         CounterSample(device=op[1], time=now, bytes_in_use=book.in_use)
                     )
-            elif code == _PIN:
+            elif code == PIN:
                 self.pinned.take(op[1])
-            elif code == _UNPIN:
+            elif code == UNPIN:
                 self.pinned.give(op[1])
-            elif record:  # _RECORD
+            elif record:  # RECORD
                 self.trace.record(
                     TraceEvent(
                         name=self.tape.names[iid],

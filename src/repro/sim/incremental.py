@@ -61,12 +61,11 @@ from repro.sim.fastpath import (
     _RUNNING,
     EngineSnapshot,
     FastInterpreter,
-    ProgramTape,
     run_program,
     wants_fast_path,
 )
 from repro.sim.interpreter import SimulationResult
-from repro.sim.ir import InstructionProgram
+from repro.sim.ir import InstructionProgram, ProgramTape
 
 __all__ = [
     "ProgramDiff",

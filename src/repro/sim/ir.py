@@ -1,4 +1,4 @@
-"""Typed device-level instruction IR for the simulator.
+"""Typed device-level instruction IR for the simulator, and its tape.
 
 Lowering (:mod:`repro.sim.lowering`) turns a ``(TrainingJob,
 MemorySavingPlan, ExecOptions)`` triple into an
@@ -12,6 +12,15 @@ or finishes.  The interpreter (:mod:`repro.sim.interpreter`) replays
 the program on the discrete-event substrate without knowing anything
 about pipelines, plans, or memory-saving policies.
 
+Every lowering writes the program through one :class:`ProgramBuilder`,
+straight into a :class:`ProgramTape`: flat per-instruction columns
+with effects as opcode tuples, which the fast path
+(:mod:`repro.sim.fastpath`) replays as is.  The typed instructions are
+rebuilt from the tape only when something reads
+``program.instructions`` (the reference interpreter, incremental
+re-simulation, inspection); a program built from typed instructions
+gets its tape from the same builder, so there is one effect encoder.
+
 Determinism contract: the simulator's golden traces are byte-pinned,
 and trace event order depends on (a) stream registration order, (b)
 per-stream submission order, and (c) the order dependency edges were
@@ -23,8 +32,9 @@ and ``edges`` is the edge-declaration tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.spec import FaultSchedule
 
@@ -224,10 +234,223 @@ class Barrier(Instruction):
     """Zero-cost join/begin marker gating a group of transfers."""
 
 
+# -- tape encoding ------------------------------------------------------------
+#
+# On the tape an effect is an opcode tuple, the form the fast path
+# applies directly:
+#
+#   (ALLOC, book, size, tag)   (DROP, book, size, tag)
+#   (PIN, size)   (UNPIN, size)   (RECORD, kind, device, microbatch, layer)
+#
+# ``book`` is the GPU index, or HOST_BOOK for host memory.
+
+ALLOC, DROP, PIN, UNPIN, RECORD = 0, 1, 2, 3, 4
+HOST_BOOK = -1
+
+_EFFECT_OF = {ALLOC: Alloc, DROP: Drop, PIN: Pin, UNPIN: Unpin, RECORD: Record}
+
+
+def encode_effects(effects) -> Optional[List[tuple]]:
+    """Typed effects as tape opcode tuples (None when there are none)."""
+    if not effects:
+        return None
+    ops: List[tuple] = []
+    for eff in effects:
+        if isinstance(eff, (Alloc, Drop)):
+            ops.append((ALLOC if isinstance(eff, Alloc) else DROP,
+                        HOST_BOOK if eff.device == HOST else eff.device,
+                        eff.size, eff.tag))
+        elif isinstance(eff, Pin):
+            ops.append((PIN, eff.size))
+        elif isinstance(eff, Unpin):
+            ops.append((UNPIN, eff.size))
+        elif isinstance(eff, Record):
+            ops.append((RECORD, eff.kind, eff.device, eff.microbatch, eff.layer))
+        else:
+            raise TypeError(f"unknown effect {eff!r}")
+    return ops
+
+
+def decode_effects(ops: Optional[List[tuple]]) -> Tuple[Effect, ...]:
+    """The typed effects of an opcode list (inverse of encode_effects)."""
+    if not ops:
+        return ()
+    effects = []
+    for code, *args in ops:
+        if code == ALLOC or code == DROP:
+            args[0] = HOST if args[0] == HOST_BOOK else args[0]
+        effects.append(_EFFECT_OF[code](*args))
+    return tuple(effects)
+
+
+_BASE_FIELDS = frozenset(f.name for f in fields(Instruction))
+
+
+@lru_cache(maxsize=None)
+def _own_fields(kind: type) -> Tuple[str, ...]:
+    """The fields an instruction type adds to :class:`Instruction`."""
+    return tuple(f.name for f in fields(kind) if f.name not in _BASE_FIELDS)
+
+
+# -- tape and builder ---------------------------------------------------------
+
+
+class ProgramTape:
+    """A program as flat per-instruction columns, indexed by iid.
+
+    The fast path replays these columns directly: ``names``,
+    ``durations``, stream bindings (``stream_of`` indexes
+    ``stream_keys``/``stream_modes``; ``members`` lists each stream's
+    iids and ``pos_in_stream`` each instruction's place there),
+    dependency fan-in (``dep_count``) and fan-out (``dependents``, in
+    edge-declaration order), and ``start_effects``/``done_effects`` as
+    opcode lists (None when empty).  ``kinds``, ``devices`` and
+    ``fields`` (each type's own fields) are what :meth:`materialize`
+    needs to rebuild the typed instructions.  :class:`ProgramBuilder`
+    writes a tape; once its program is finished the tape is immutable
+    and reusable across any number of runs.
+    """
+
+    __slots__ = (
+        "n", "names", "durations", "stream_keys", "stream_modes", "stream_of",
+        "members", "pos_in_stream", "dep_count", "dependents",
+        "start_effects", "done_effects", "kinds", "devices", "fields",
+    )
+
+    def __init__(self) -> None:
+        self.n = 0
+        for column in self.__slots__[1:]:
+            setattr(self, column, [])
+
+    def materialize(self) -> Tuple[Instruction, ...]:
+        """The typed instructions this tape encodes, in iid order."""
+        keys, modes = self.stream_keys, self.stream_modes
+        return tuple(
+            kind(iid=iid, name=name, stream=keys[s], stream_mode=modes[s],
+                 duration=duration, device=device,
+                 start_effects=decode_effects(start),
+                 done_effects=decode_effects(done), **own)
+            for iid, (kind, name, s, duration, device, start, done, own)
+            in enumerate(zip(self.kinds, self.names, self.stream_of,
+                             self.durations, self.devices, self.start_effects,
+                             self.done_effects, self.fields))
+        )
+
+
+class ProgramBuilder:
+    """Writes a program's tape one instruction and one edge at a time.
+
+    The only producer of :class:`ProgramTape`: the training, serving
+    and collective lowerings emit through it, and so does a program
+    built from typed instructions.  Streams register in first-use
+    order.  :meth:`emit` takes ownership of the opcode lists it is
+    given; :meth:`add_start`/:meth:`add_done` append an effect to an
+    earlier instruction and :meth:`set_duration` rewrites its duration,
+    until :meth:`finish` seals the tape into a program.
+    """
+
+    def __init__(self) -> None:
+        self.tape = ProgramTape()
+        self.edges: List[Tuple[int, int]] = []
+        self._stream_index: Dict[Hashable, int] = {}
+
+    def stream(self, key: Hashable, mode: str) -> int:
+        """Index of stream ``key``, registered with ``mode`` on first use."""
+        s = self._stream_index.get(key)
+        if s is None:
+            tape = self.tape
+            s = self._stream_index[key] = len(tape.stream_keys)
+            tape.stream_keys.append(key)
+            tape.stream_modes.append(mode)
+            tape.members.append([])
+        return s
+
+    def emit(self, kind: type, name: str, stream: Hashable, mode: str,
+             duration: float, device: DeviceRef, deps: Tuple[int, ...] = (),
+             start: Optional[List[tuple]] = None,
+             done: Optional[List[tuple]] = None, **own) -> int:
+        """Append a ``kind`` instruction waiting on ``deps``; returns its iid."""
+        tape = self.tape
+        s = self._stream_index.get(stream)
+        if s is None:
+            s = self.stream(stream, mode)
+        iid = len(tape.names)
+        tape.names.append(name)
+        tape.durations.append(duration)
+        tape.stream_of.append(s)
+        members = tape.members[s]
+        tape.pos_in_stream.append(len(members))
+        members.append(iid)
+        tape.start_effects.append(start or None)
+        tape.done_effects.append(done or None)
+        tape.kinds.append(kind)
+        tape.devices.append(device)
+        tape.fields.append(own)
+        tape.dep_count.append(len(deps))
+        tape.dependents.append([])
+        dependents = tape.dependents
+        for dep in deps:
+            self.edges.append((iid, dep))
+            dependents[dep].append(iid)
+        return iid
+
+    def add(self, instr: Instruction) -> int:
+        """Append a typed instruction; its position is its iid."""
+        kind = type(instr)
+        return self.emit(
+            kind, instr.name, instr.stream, instr.stream_mode,
+            float(instr.duration), instr.device,
+            start=encode_effects(instr.start_effects),
+            done=encode_effects(instr.done_effects),
+            **{name: getattr(instr, name) for name in _own_fields(kind)},
+        )
+
+    def edge(self, consumer: int, producer: int) -> None:
+        """Declare that ``consumer`` waits for ``producer``."""
+        self.edges.append((consumer, producer))
+        self.tape.dep_count[consumer] += 1
+        self.tape.dependents[producer].append(consumer)
+
+    def add_start(self, iid: int, op: tuple) -> None:
+        """Append one start effect to instruction ``iid``."""
+        _append(self.tape.start_effects, iid, op)
+
+    def add_done(self, iid: int, op: tuple) -> None:
+        """Append one done effect to instruction ``iid``."""
+        _append(self.tape.done_effects, iid, op)
+
+    def set_duration(self, iid: int, duration: float) -> None:
+        self.tape.durations[iid] = duration
+
+    def seal(self) -> ProgramTape:
+        """The finished tape (no writes after this)."""
+        self.tape.n = len(self.tape.names)
+        return self.tape
+
+    def finish(self, job, plan, options: ExecOptions,
+               static_effects: Sequence[Alloc] = ()) -> "InstructionProgram":
+        """The finished program, carrying this builder's tape."""
+        tape = self.seal()
+        return InstructionProgram(
+            job, plan, options,
+            edges=tuple(self.edges),
+            static_effects=tuple(static_effects),
+            stream_order=tuple(zip(tape.stream_keys, tape.stream_modes)),
+            tape=tape,
+        )
+
+
+def _append(column: List[Optional[List[tuple]]], iid: int, op: tuple) -> None:
+    if column[iid] is None:
+        column[iid] = [op]
+    else:
+        column[iid].append(op)
+
+
 # -- program ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InstructionProgram:
     """A lowered simulation: instructions + edges + static state.
 
@@ -238,7 +461,15 @@ class InstructionProgram:
       instruction runs (resident model state per the plan);
     * ``stream_order`` — ``(key, mode)`` pairs in first-use order, so
       the interpreter registers streams exactly as the legacy
-      executor did (registration order breaks simultaneity ties).
+      executor did (registration order breaks simultaneity ties);
+    * ``tape`` — the same program as the columns the fast path replays.
+
+    A lowering passes its finished tape (:meth:`ProgramBuilder.finish`),
+    and ``instructions`` is rebuilt from it on first read: only the
+    reference interpreter, incremental re-simulation and inspection
+    read it.  A program constructed from ``instructions`` (tests,
+    ``dataclasses.replace``) gets its tape from a
+    :class:`ProgramBuilder`, one instruction at a time.
     """
 
     job: "object"
@@ -248,13 +479,46 @@ class InstructionProgram:
     edges: Tuple[Tuple[int, int], ...]
     static_effects: Tuple[Alloc, ...]
     stream_order: Tuple[Tuple[Hashable, str], ...]
+    tape: ProgramTape = field(init=False, repr=False, compare=False)
+
+    def __init__(self, job, plan, options: ExecOptions,
+                 instructions: Optional[Sequence[Instruction]] = None,
+                 edges: Tuple[Tuple[int, int], ...] = (),
+                 static_effects: Tuple[Alloc, ...] = (),
+                 stream_order: Tuple[Tuple[Hashable, str], ...] = (),
+                 tape: Optional[ProgramTape] = None):
+        put = object.__setattr__
+        put(self, "job", job)
+        put(self, "plan", plan)
+        put(self, "options", options)
+        put(self, "edges", edges)
+        put(self, "static_effects", static_effects)
+        put(self, "stream_order", stream_order)
+        if tape is None:
+            if instructions is None:
+                raise TypeError("InstructionProgram needs instructions or a tape")
+            builder = ProgramBuilder()
+            for key, mode in stream_order:
+                builder.stream(key, mode)
+            for instr in instructions:
+                builder.add(instr)
+            for consumer, producer in edges:
+                builder.edge(consumer, producer)
+            tape = builder.seal()
+            put(self, "instructions", tuple(instructions))
+        put(self, "tape", tape)
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes __init__ did not set: the
+        # instructions of a program that was lowered straight to tape.
+        if name != "instructions":
+            raise AttributeError(name)
+        instructions = self.tape.materialize()
+        object.__setattr__(self, "instructions", instructions)
+        return instructions
 
     def __len__(self) -> int:
-        return len(self.instructions)
-
-    def deps_of(self, iid: int) -> List[int]:
-        """Producer iids instruction ``iid`` waits on (edge-tape order)."""
-        return [producer for consumer, producer in self.edges if consumer == iid]
+        return self.tape.n
 
     def by_stream(self) -> Dict[Hashable, List[Instruction]]:
         """Instructions grouped per stream key, in submission order."""
@@ -270,42 +534,6 @@ class InstructionProgram:
     def counts_by_type(self) -> Dict[str, int]:
         """Instruction counts per type name (inspection/tests)."""
         counts: Dict[str, int] = {}
-        for instr in self.instructions:
-            name = type(instr).__name__
-            counts[name] = counts.get(name, 0) + 1
+        for kind in self.tape.kinds:
+            counts[kind.__name__] = counts.get(kind.__name__, 0) + 1
         return counts
-
-
-@dataclass
-class _InstructionDraft:
-    """Mutable instruction under construction (see ``lowering``).
-
-    Lowering mutates effect lists and durations in place (e.g. the
-    optimizer join's duration is zeroed once chunked swapping is
-    wired); :func:`freeze_draft` seals the result.
-    """
-
-    factory: type
-    iid: int
-    name: str
-    stream: Hashable
-    mode: str
-    duration: float
-    device: DeviceRef
-    start_effects: List[Effect] = field(default_factory=list)
-    done_effects: List[Effect] = field(default_factory=list)
-    fields: Dict[str, object] = field(default_factory=dict)
-
-
-def freeze_draft(draft: _InstructionDraft) -> Instruction:
-    return draft.factory(
-        iid=draft.iid,
-        name=draft.name,
-        stream=draft.stream,
-        stream_mode=draft.mode,
-        duration=draft.duration,
-        device=draft.device,
-        start_effects=tuple(draft.start_effects),
-        done_effects=tuple(draft.done_effects),
-        **draft.fields,
-    )

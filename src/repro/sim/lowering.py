@@ -2,15 +2,20 @@
 
 This is the planning half of the simulated MPress Runtime (Figure 5):
 walk the instrumented data-flow program and emit, per device stream,
-the typed instructions and memory effects of one training iteration
-set.  The interpreter (:mod:`repro.sim.interpreter`) replays the
-result; nothing here touches the event loop.
+the instructions and memory effects of one training iteration set.
+Emission writes the program's tape directly through a
+:class:`~repro.sim.ir.ProgramBuilder`, with effects as opcode tuples;
+the typed instructions are rebuilt from the tape only when read.  The
+interpreters (:mod:`repro.sim.fastpath`, :mod:`repro.sim.interpreter`)
+replay the result; nothing here touches the event loop.
 
 A :class:`Lowering` is bound to one ``(job, options)`` pair and caches
-everything *plan-independent* — the data-flow program and the tensor
-classification — so the planner's emulate-candidate-plans loop pays
-for that graph walk exactly once and only re-runs the cheap per-plan
-instruction emission (:meth:`Lowering.lower`).  The module-level
+everything *plan-independent* — the data-flow program, the tensor
+classification, node keys, instruction names, cross-node edges and
+per-``(stage, device)`` layer durations — so the planner's
+emulate-candidate-plans loop pays for that walk exactly once and only
+re-runs the cheap per-plan instruction emission
+(:meth:`Lowering.lower`).  The module-level
 :func:`skeleton_build_count` counter makes that reuse testable.
 
 Ordering is load-bearing throughout (see :mod:`repro.sim.ir`): the
@@ -25,17 +30,22 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.plan import Action, MemorySavingPlan, empty_plan, validate_plan
 from repro.errors import SimulationError
-from repro.graph.dataflow import ComputeNode, Program, build_program
+from repro.graph.dataflow import ComputeNode, NodeKey, Program, build_program
 from repro.graph.tensor import TensorClass, TensorKind, tensor_classes_for
 from repro.hardware.bandwidth import transfer_time
 from repro.job import TrainingJob
 from repro.pipeline.schedule import OpKind
 from repro.sim.ir import (
+    ALLOC,
+    DROP,
     HOST,
+    HOST_BOOK,
+    PIN,
+    RECORD,
+    UNPIN,
     Alloc,
     Barrier,
     Compute,
-    Drop,
     ExecOptions,
     InstructionProgram,
     NvmeRead,
@@ -43,14 +53,10 @@ from repro.sim.ir import (
     OptimStep,
     P2PRecv,
     P2PSend,
-    Pin,
-    Record,
+    ProgramBuilder,
     Recompute,
     SwapIn,
     SwapOut,
-    Unpin,
-    _InstructionDraft,
-    freeze_draft,
 )
 
 # How many plan-independent skeletons were built process-wide; tests
@@ -88,6 +94,61 @@ class Lowering:
             for cls in self.classes
             if cls.kind in (TensorKind.OPTIMIZER_STATE, TensorKind.STASHED_PARAMS)
         }
+        # Per-node facts every plan reuses: (node, key, name, chain) per
+        # stage in issue order, where a compute node's chain lists its
+        # (layer index, instruction name) pairs in execution order and
+        # an optimizer node's chain is None; then the same-stage edges
+        # and the cross-stage transfers, by node key.
+        self.node_facts: List[List[tuple]] = []
+        for stage_index, stage_nodes in enumerate(self.program.per_stage):
+            layers = job.stage_plan.stage(stage_index).layers
+            facts = []
+            for node in stage_nodes:
+                key = node.key
+                chain = None
+                if node.kind is not OpKind.OPTIMIZER:
+                    ordered = layers if node.kind is OpKind.FORWARD else layers[::-1]
+                    chain = [
+                        (layer.index,
+                         f"{key[0]}.s{node.stage}.m{node.microbatch}.l{layer.index}")
+                        for layer in ordered
+                    ]
+                facts.append((node, key, node.name, chain))
+            self.node_facts.append(facts)
+        self.local_edges: List[Tuple[NodeKey, NodeKey]] = []
+        self.transfers: List[tuple] = []
+        bpe = job.bytes_per_element
+        for node in self.program.nodes():
+            for dep in node.deps:
+                if dep.stage == node.stage:
+                    self.local_edges.append((node.key, dep.key))
+                    continue
+                size = job.stage_plan.stage(min(dep.stage, node.stage)).boundary_bytes(
+                    job.microbatch_size, bpe
+                )
+                self.transfers.append((
+                    node.key, dep.key, f"comm.{dep.name}->{node.name}", size,
+                    dep.stage, node.stage, node.microbatch,
+                ))
+        self._times: Dict[Tuple[int, int], tuple] = {}
+
+    def stage_times(self, stage: int, device: int) -> tuple:
+        """``(forward, backward, recompute, optimizer)`` durations of
+        ``stage`` on ``device``; the per-layer lists follow the forward
+        and backward chain orders."""
+        times = self._times.get((stage, device))
+        if times is None:
+            job = self.job
+            throughput = job.server.gpu(device).peak_flops(job.precision) * job.mfu
+            layers = job.stage_plan.stage(stage).layers
+            flops = [layer.forward_flops(job.microbatch_size) for layer in layers]
+            times = self._times[(stage, device)] = (
+                [f / throughput for f in flops],
+                [(2.0 * f) / throughput for f in flops[::-1]],
+                [job.layer_forward_time(layer, device) for layer in layers[::-1]],
+                job.optimizer_time(stage, device),
+            )
+        return times
 
     def lower(self, plan: Optional[MemorySavingPlan] = None) -> InstructionProgram:
         """Emit the instruction program of one candidate plan."""
@@ -110,11 +171,8 @@ class _PlanLowering:
             self.options.gpu_capacity_override or gpu.memory_bytes
             for gpu in self.job.server.gpus
         ]
-        self.drafts: List[_InstructionDraft] = []
-        self.edges: List[Tuple[int, int]] = []
+        self.builder = ProgramBuilder()
         self.static_effects: List[Alloc] = []
-        self.stream_order: List[Tuple[Hashable, str]] = []
-        self._seen_streams: set = set()
         # Static GPU residency per device, for the backpressure window
         # (the legacy executor read the live memory book here; the
         # books only hold static state at build time).
@@ -127,49 +185,9 @@ class _PlanLowering:
         self._bwd_layer: Dict[tuple, int] = {}
         # Per-stage compute instructions in issue order (anchors).
         self._stage_order: Dict[int, List[int]] = {}
-
-    # -- builder primitives ------------------------------------------------
-
-    def _touch_stream(self, key: Hashable, mode: str) -> None:
-        if key not in self._seen_streams:
-            self._seen_streams.add(key)
-            self.stream_order.append((key, mode))
-
-    def _emit(
-        self,
-        factory: type,
-        name: str,
-        stream: Hashable,
-        mode: str,
-        duration: float,
-        deps: Tuple[int, ...] = (),
-        start: Tuple = (),
-        done: Tuple = (),
-        device=0,
-        **fields,
-    ) -> int:
-        self._touch_stream(stream, mode)
-        iid = len(self.drafts)
-        self.drafts.append(
-            _InstructionDraft(
-                factory=factory,
-                iid=iid,
-                name=name,
-                stream=stream,
-                mode=mode,
-                duration=duration,
-                device=device,
-                start_effects=list(start),
-                done_effects=list(done),
-                fields=dict(fields),
-            )
-        )
-        for dep in deps:
-            self.edges.append((iid, dep))
-        return iid
-
-    def _edge(self, consumer: int, producer: int) -> None:
-        self.edges.append((consumer, producer))
+        # id(stripe) -> per-block NVLink transfer times; a plan entry's
+        # stripe is shared by every microbatch of its tensor class.
+        self._block_times: Dict[int, List[float]] = {}
 
     def build(self) -> InstructionProgram:
         self._lower_static()
@@ -177,15 +195,7 @@ class _PlanLowering:
         self._lower_comm()
         self._lower_activation_ops()
         self._lower_optimizer_ops()
-        return InstructionProgram(
-            job=self.job,
-            plan=self.plan,
-            options=self.options,
-            instructions=tuple(freeze_draft(d) for d in self.drafts),
-            edges=tuple(self.edges),
-            static_effects=tuple(self.static_effects),
-            stream_order=tuple(self.stream_order),
-        )
+        return self.builder.finish(self.job, self.plan, self.options, self.static_effects)
 
     # -- static state ------------------------------------------------------
 
@@ -229,111 +239,84 @@ class _PlanLowering:
         for GPU compute exactly as real recomputation does (the
         paper's up-to-33% recompute delay, Section II-D).
         """
-        job = self.job
-        for stage_index, stage_nodes in enumerate(self.skel.program.per_stage):
+        skel = self.skel
+        for stage_index, facts in enumerate(skel.node_facts):
             device = self._device(stage_index)
             stream = ("compute", device)
-            self._touch_stream(stream, "fifo")
+            self.builder.stream(stream, "fifo")
             order: List[int] = []
             self._stage_order[stage_index] = order
-            layers = job.stage_plan.stage(stage_index).layers
-            for node in stage_nodes:
-                if node.kind is OpKind.OPTIMIZER:
-                    iid = self._emit(
-                        OptimStep,
-                        name=node.name,
-                        stream=stream,
-                        mode="fifo",
-                        duration=job.optimizer_time(node.stage, device),
-                        done=(Record("opt", device, node.minibatch),),
-                        device=device,
+            forward, backward, recompute, opt_time = skel.stage_times(
+                stage_index, device
+            )
+            recomputed = {
+                cls.layer
+                for cls in skel.stage_acts.get(stage_index, [])
+                if self.plan.action_for(cls) is Action.RECOMPUTE
+            }
+            for node, key, name, chain in facts:
+                if chain is None:
+                    iid = self.builder.emit(
+                        OptimStep, name, stream, "fifo", opt_time, device,
+                        done=[(RECORD, "opt", device, node.minibatch, -1)],
                         stage=node.stage,
                         minibatch=node.minibatch,
                     )
-                    self._node_first[node.key] = iid
-                    self._node_last[node.key] = iid
+                    self._node_first[key] = iid
+                    self._node_last[key] = iid
                     order.append(iid)
                     continue
-                first, last = self._lower_layer_chain(node, layers, device, stream, order)
-                self._node_first[node.key] = first
-                self._node_last[node.key] = last
+                durations = forward if node.kind is OpKind.FORWARD else backward
+                first, last = self._lower_layer_chain(
+                    node, key[0], chain, durations, recompute, recomputed,
+                    device, stream, order,
+                )
+                self._node_first[key] = first
+                self._node_last[key] = last
         # Cross-node dependencies (same-stage fwd->bwd data edges).
-        for node in self.skel.program.nodes():
-            for dep in node.deps:
-                if dep.stage == node.stage:
-                    self._edge(self._node_first[node.key], self._node_last[dep.key])
+        for key, dep_key in skel.local_edges:
+            self.builder.edge(self._node_first[key], self._node_last[dep_key])
 
     def _lower_layer_chain(
         self,
         node: ComputeNode,
-        layers,
+        op: str,
+        chain: List[tuple],
+        durations: List[float],
+        recompute: List[float],
+        recomputed: set,
         device: int,
         stream: Hashable,
         order: List[int],
     ) -> Tuple[int, int]:
-        job = self.job
+        emit = self.builder.emit
+        stage = node.stage
         mb = node.microbatch
         forward = node.kind is OpKind.FORWARD
-        chain = layers if forward else list(reversed(layers))
+        by_layer = self._fwd_layer if forward else self._bwd_layer
         first: Optional[int] = None
         last: Optional[int] = None
-        for layer in chain:
-            flops = layer.forward_flops(job.microbatch_size)
-            duration = (flops if forward else 2.0 * flops) / (
-                job.server.gpu(device).peak_flops(job.precision) * job.mfu
-            )
-            if not forward:
-                self._maybe_lower_recompute(node.stage, mb, layer, device, stream, order)
-            iid = self._emit(
-                Compute,
-                name=f"{node.kind.value}.s{node.stage}.m{mb}.l{layer.index}",
-                stream=stream,
-                mode="fifo",
-                duration=duration,
-                done=(Record(node.kind.value, device, mb, layer.index),),
-                device=device,
-                stage=node.stage,
-                microbatch=mb,
-                layer=layer.index,
-                op=node.kind.value,
+        for position, (index, name) in enumerate(chain):
+            if not forward and index in recomputed:
+                iid = emit(
+                    Recompute, f"recompute.s{stage}.m{mb}.l{index}", stream, "fifo",
+                    recompute[position], device,
+                    done=[(RECORD, "recompute", device, mb, index)],
+                    stage=stage, microbatch=mb, layer=index,
+                )
+                order.append(iid)
+                self._fwd_layer[("recompute", stage, mb, index)] = iid
+            iid = emit(
+                Compute, name, stream, "fifo", durations[position], device,
+                done=[(RECORD, op, device, mb, index)],
+                stage=stage, microbatch=mb, layer=index, op=op,
             )
             order.append(iid)
-            key = (node.stage, mb, layer.index)
-            if forward:
-                self._fwd_layer[key] = iid
-            else:
-                self._bwd_layer[key] = iid
+            by_layer[(stage, mb, index)] = iid
             if first is None:
                 first = iid
             last = iid
         return first, last
-
-    def _maybe_lower_recompute(
-        self, stage: int, mb: int, layer, device: int, stream: Hashable, order: List[int]
-    ) -> None:
-        cls = self._activation_class(stage, layer.index)
-        if cls is None or self.plan.action_for(cls) is not Action.RECOMPUTE:
-            return
-        iid = self._emit(
-            Recompute,
-            name=f"recompute.s{stage}.m{mb}.l{layer.index}",
-            stream=stream,
-            mode="fifo",
-            duration=self.job.layer_forward_time(layer, device),
-            done=(Record("recompute", device, mb, layer.index),),
-            device=device,
-            stage=stage,
-            microbatch=mb,
-            layer=layer.index,
-        )
-        order.append(iid)
-        self._fwd_layer[("recompute", stage, mb, layer.index)] = iid
-
-    def _activation_class(self, stage: int, layer_index: int) -> Optional[TensorClass]:
-        for cls in self.skel.stage_acts.get(stage, []):
-            if cls.layer == layer_index:
-                return cls
-        return None
 
     # -- communication -----------------------------------------------------
 
@@ -353,58 +336,32 @@ class _PlanLowering:
         direct lane (possible on DGX-1 with a poor device mapping).
         """
         topology = self.job.server.topology
-        done = (Record(kind, src_dev, microbatch),)
+        done = [(RECORD, kind, src_dev, microbatch, -1)]
         if topology.lanes(src_dev, dst_dev) > 0:
-            lane = topology.lane_channels(src_dev, dst_dev)[0]
+            stream = topology.lane_channels(src_dev, dst_dev)[0]
             duration = transfer_time(size, topology.nvlink, lanes=1)
-            return self._emit(
-                P2PSend,
-                name=name,
-                stream=lane,
-                mode="pool",
-                duration=duration,
-                deps=deps,
-                done=done,
-                device=src_dev,
-                src=src_dev,
-                dst=dst_dev,
-            )
-        # Staged copy through host memory: D2H then H2D, serialized.
-        duration = 2.0 * transfer_time(size, self.job.server.pcie, lanes=1)
-        return self._emit(
-            P2PSend,
-            name=name,
-            stream=("pcie_d2h", src_dev),
-            mode="pool",
-            duration=duration,
-            deps=deps,
-            done=done,
-            device=src_dev,
-            src=src_dev,
-            dst=dst_dev,
+        else:
+            # Staged copy through host memory: D2H then H2D, serialized.
+            stream = ("pcie_d2h", src_dev)
+            duration = 2.0 * transfer_time(size, self.job.server.pcie, lanes=1)
+        return self.builder.emit(
+            P2PSend, name, stream, "pool", duration, src_dev, deps, done=done,
+            src=src_dev, dst=dst_dev,
         )
 
     def _lower_comm(self) -> None:
         """Activation/gradient transfers between adjacent stages."""
-        job = self.job
-        bpe = job.bytes_per_element
-        for node in self.skel.program.nodes():
-            for dep in node.deps:
-                if dep.stage == node.stage:
-                    continue
-                size = job.stage_plan.stage(min(dep.stage, node.stage)).boundary_bytes(
-                    job.microbatch_size, bpe
-                )
-                comm = self._lower_link(
-                    name=f"comm.{dep.name}->{node.name}",
-                    size=size,
-                    src_dev=self._device(dep.stage),
-                    dst_dev=self._device(node.stage),
-                    deps=(self._node_last[dep.key],),
-                    kind="comm",
-                    microbatch=node.microbatch,
-                )
-                self._edge(self._node_first[node.key], comm)
+        for key, dep_key, name, size, dep_stage, stage, mb in self.skel.transfers:
+            comm = self._lower_link(
+                name=name,
+                size=size,
+                src_dev=self._device(dep_stage),
+                dst_dev=self._device(stage),
+                deps=(self._node_last[dep_key],),
+                kind="comm",
+                microbatch=mb,
+            )
+            self.builder.edge(self._node_first[key], comm)
 
     # -- activation memory ops ---------------------------------------------
 
@@ -433,7 +390,7 @@ class _PlanLowering:
                     fwd = self._fwd_layer[(stage, mb, cls.layer)]
                     bwd = self._bwd_layer[(stage, mb, cls.layer)]
                     if window is not None and len(history) >= window:
-                        self._edge(fwd, history[len(history) - window])
+                        self.builder.edge(fwd, history[len(history) - window])
                     join = self._wire_activation(cls, device, mb, fwd, bwd)
                     if join is not None:
                         history.append(join)
@@ -487,14 +444,14 @@ class _PlanLowering:
         tag = f"act.s{cls.stage}.l{cls.layer}.m{mb}"
         size = cls.size
         if action is Action.NONE:
-            self.drafts[fwd].start_effects.append(Alloc(device, size, tag))
-            self.drafts[bwd].done_effects.append(Drop(device, size, tag))
+            self.builder.add_start(fwd, (ALLOC, device, size, tag))
+            self.builder.add_done(bwd, (DROP, device, size, tag))
             return None
         if action is Action.RECOMPUTE:
             self._wire_recompute(cls, device, mb, fwd, bwd, tag)
             return None
-        self.drafts[fwd].start_effects.append(Alloc(device, size, tag))
-        self.drafts[bwd].done_effects.append(Drop(device, size, tag))
+        self.builder.add_start(fwd, (ALLOC, device, size, tag))
+        self.builder.add_done(bwd, (DROP, device, size, tag))
         anchor = self._anchor_before(cls.stage, bwd)
         entry = self.plan.entry_for(cls)
         if action is Action.CPU_SWAP:
@@ -533,11 +490,11 @@ class _PlanLowering:
             self.job.microbatch_size, self.job.bytes_per_element
         )
         internals = max(0, cls.size - boundary)
-        self.drafts[fwd].start_effects.append(Alloc(device, cls.size, tag))
-        self.drafts[fwd].done_effects.append(Drop(device, internals, tag))
+        self.builder.add_start(fwd, (ALLOC, device, cls.size, tag))
+        self.builder.add_done(fwd, (DROP, device, internals, tag))
         recompute = self._fwd_layer[("recompute", cls.stage, mb, cls.layer)]
-        self.drafts[recompute].start_effects.append(Alloc(device, internals, tag))
-        self.drafts[bwd].done_effects.append(Drop(device, cls.size, tag))
+        self.builder.add_start(recompute, (ALLOC, device, internals, tag))
+        self.builder.add_done(bwd, (DROP, device, cls.size, tag))
 
     def _wire_cpu_swap(
         self,
@@ -558,19 +515,19 @@ class _PlanLowering:
         slower NVMe legs.
         """
         duration = transfer_time(size, self.job.server.pcie, lanes=1)
-        out = self._emit(
+        out = self.builder.emit(
             SwapOut,
             name=f"swapout.{tag}",
             stream=("pcie_d2h", device),
             mode="pool",
             duration=duration,
             deps=(out_after,),
-            start=(Alloc(HOST, size, tag), Pin(size)),
-            done=(
-                Drop(device, size, tag),
-                Unpin(size),
-                Record("swap_out", device, mb),
-            ),
+            start=[(ALLOC, HOST_BOOK, size, tag), (PIN, size)],
+            done=[
+                (DROP, device, size, tag),
+                (UNPIN, size),
+                (RECORD, "swap_out", device, mb, -1),
+            ],
             device=device,
             tag=tag,
             size=size,
@@ -579,14 +536,14 @@ class _PlanLowering:
         eviction_gate = out
         if tier == "nvme":
             nvme = self.job.server.nvme
-            spill = self._emit(
+            spill = self.builder.emit(
                 NvmeWrite,
                 name=f"nvmewrite.{tag}",
                 stream=("nvme", "write"),
                 mode="pool",
                 duration=size / nvme.write_bandwidth,
                 deps=(out,),
-                done=(Drop(HOST, size, tag),),
+                done=[(DROP, HOST_BOOK, size, tag)],
                 device=device,
                 tag=tag,
                 size=size,
@@ -596,14 +553,14 @@ class _PlanLowering:
             # NVMe throttles producers instead of flooding the host.
             eviction_gate = spill
             fetch_deps = (spill,) if anchor is None else (spill, anchor)
-            fetch = self._emit(
+            fetch = self.builder.emit(
                 NvmeRead,
                 name=f"nvmeread.{tag}",
                 stream=("nvme", "read"),
                 mode="pool",
                 duration=size / nvme.read_bandwidth,
                 deps=fetch_deps,
-                start=(Alloc(HOST, size, tag),),
+                start=[(ALLOC, HOST_BOOK, size, tag)],
                 device=device,
                 tag=tag,
                 size=size,
@@ -612,25 +569,25 @@ class _PlanLowering:
         else:
             in_deps = (out,) if anchor is None else (out, anchor)
 
-        swap_in = self._emit(
+        swap_in = self.builder.emit(
             SwapIn,
             name=f"swapin.{tag}",
             stream=("pcie_h2d", device),
             mode="pool",
             duration=duration,
             deps=in_deps,
-            start=(Alloc(device, size, tag), Pin(size)),
-            done=(
-                Drop(HOST, size, tag),
-                Unpin(size),
-                Record("swap_in", device, mb),
-            ),
+            start=[(ALLOC, device, size, tag), (PIN, size)],
+            done=[
+                (DROP, HOST_BOOK, size, tag),
+                (UNPIN, size),
+                (RECORD, "swap_in", device, mb, -1),
+            ],
             device=device,
             tag=tag,
             size=size,
             tier=tier,
         )
-        self._edge(in_before, swap_in)
+        self.builder.edge(in_before, swap_in)
         return eviction_gate
 
     def _wire_d2d_swap(
@@ -645,72 +602,77 @@ class _PlanLowering:
         anchor: Optional[int],
     ) -> int:
         """Striped device-to-device swap over NVLink lanes (Sec. III-C)."""
-        nvlink = self.job.server.topology.nvlink
+        times = self._block_times.get(id(stripe))
+        if times is None:
+            nvlink = self.job.server.topology.nvlink
+            times = self._block_times[id(stripe)] = [
+                transfer_time(block.size, nvlink, lanes=1) for block in stripe.blocks
+            ]
         out_blocks: List[int] = []
         for index, block in enumerate(stripe.blocks):
             out_blocks.append(
-                self._emit(
+                self.builder.emit(
                     P2PSend,
                     name=f"d2dout.{tag}.b{index}",
                     stream=block.lane,
                     mode="pool",
-                    duration=transfer_time(block.size, nvlink, lanes=1),
+                    duration=times[index],
                     deps=(out_after,),
-                    start=(Alloc(block.importer, block.size, tag),),
+                    start=[(ALLOC, block.importer, block.size, tag)],
                     device=device,
                     src=device,
                     dst=block.importer,
                 )
             )
-        out_join = self._emit(
+        out_join = self.builder.emit(
             Barrier,
             name=f"d2dout.{tag}.join",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=tuple(out_blocks),
-            done=(Drop(device, size, tag), Record("swap_out", device, mb)),
+            done=[(DROP, device, size, tag), (RECORD, "swap_out", device, mb, -1)],
             device=device,
         )
 
         in_begin_deps = (out_join,) if anchor is None else (out_join, anchor)
-        in_begin = self._emit(
+        in_begin = self.builder.emit(
             Barrier,
             name=f"d2din.{tag}.begin",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=in_begin_deps,
-            done=(Alloc(device, size, tag),),
+            done=[(ALLOC, device, size, tag)],
             device=device,
         )
         in_blocks: List[int] = []
         for index, block in enumerate(stripe.blocks):
             in_blocks.append(
-                self._emit(
+                self.builder.emit(
                     P2PRecv,
                     name=f"d2din.{tag}.b{index}",
                     stream=block.return_lane,
                     mode="pool",
-                    duration=transfer_time(block.size, nvlink, lanes=1),
+                    duration=times[index],
                     deps=(in_begin,),
-                    done=(Drop(block.importer, block.size, tag),),
+                    done=[(DROP, block.importer, block.size, tag)],
                     device=device,
                     src=block.importer,
                     dst=device,
                 )
             )
-        in_join = self._emit(
+        in_join = self.builder.emit(
             Barrier,
             name=f"d2din.{tag}.join",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=tuple(in_blocks),
-            done=(Record("swap_in", device, mb),),
+            done=[(RECORD, "swap_in", device, mb, -1)],
             device=device,
         )
-        self._edge(in_before, in_join)
+        self.builder.edge(in_before, in_join)
         return out_join
 
     # -- stashed weight versions (PipeDream) -------------------------------
@@ -740,8 +702,8 @@ class _PlanLowering:
         bwd_first = self._node_first[bwd_key]
         bwd_last = self._node_last[bwd_key]
         tag = f"stash.s{stage}.m{mb}"
-        self.drafts[fwd_last].done_effects.append(Alloc(device, cls.size, tag))
-        self.drafts[bwd_last].done_effects.append(Drop(device, cls.size, tag))
+        self.builder.add_done(fwd_last, (ALLOC, device, cls.size, tag))
+        self.builder.add_done(bwd_last, (DROP, device, cls.size, tag))
         if action is Action.NONE:
             return None
         if window is not None and len(history) >= window:
@@ -752,7 +714,7 @@ class _PlanLowering:
             # generations only.
             index = min(len(history) - window, mb_start - 1)
             if index >= 0:
-                self._edge(fwd_last, history[index])
+                self.builder.edge(fwd_last, history[index])
         anchor = self._anchor_before(stage, bwd_first)
         entry = self.plan.entry_for(cls)
         if action is Action.CPU_SWAP:
@@ -829,10 +791,10 @@ class _PlanLowering:
         """
         chunks = self._opt_chunks(cls.size, self.capacities[device])
         total = float(cls.size)
-        step_time = self.drafts[opt_iid].duration
-        self.drafts[opt_iid].duration = 0.0
+        step_time = self.builder.tape.durations[opt_iid]
+        self.builder.set_duration(opt_iid, 0.0)
         update_stream = ("optstep", device)
-        self._touch_stream(update_stream, "fifo")
+        self.builder.stream(update_stream, "fifo")
         outs: List[int] = []
         last_update: Optional[int] = None
         for index, chunk in enumerate(chunks):
@@ -845,7 +807,7 @@ class _PlanLowering:
             swap_in = self._opt_chunk_in(
                 cls, action, chunk_tag, device, chunk, tuple(in_deps)
             )
-            update = self._emit(
+            update = self.builder.emit(
                 OptimStep,
                 name=f"optstep.{chunk_tag}",
                 stream=update_stream,
@@ -860,7 +822,7 @@ class _PlanLowering:
             outs.append(out)
             last_update = update
         if last_update is not None:
-            self._edge(opt_iid, last_update)
+            self.builder.edge(opt_iid, last_update)
         return outs
 
     def _opt_chunk_in(
@@ -870,7 +832,7 @@ class _PlanLowering:
             entry = self.plan.entry_for(cls)
             if entry.tier == "nvme":
                 nvme = self.job.server.nvme
-                fetch = self._emit(
+                fetch = self.builder.emit(
                     NvmeRead,
                     name=f"nvmeread.{tag}",
                     stream=("nvme", "read"),
@@ -882,15 +844,15 @@ class _PlanLowering:
                     size=chunk,
                 )
                 deps = (fetch,)
-            return self._emit(
+            return self.builder.emit(
                 SwapIn,
                 name=f"swapin.{tag}",
                 stream=("pcie_h2d", device),
                 mode="pool",
                 duration=transfer_time(chunk, self.job.server.pcie, lanes=1),
                 deps=deps,
-                start=(Alloc(device, chunk, tag),),
-                done=(Record("swap_in", device, -1),),
+                start=[(ALLOC, device, chunk, tag)],
+                done=[(RECORD, "swap_in", device, -1, -1)],
                 device=device,
                 tag=tag,
                 size=chunk,
@@ -899,14 +861,14 @@ class _PlanLowering:
         # D2D: pull the chunk's share of every stripe block back.
         stripe = self.plan.entry_for(cls).stripe
         nvlink = self.job.server.topology.nvlink
-        begin = self._emit(
+        begin = self.builder.emit(
             Barrier,
             name=f"d2din.{tag}.begin",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=deps,
-            done=(Alloc(device, chunk, tag),),
+            done=[(ALLOC, device, chunk, tag)],
             device=device,
         )
         blocks: List[int] = []
@@ -914,7 +876,7 @@ class _PlanLowering:
         for b_index, block in enumerate(stripe.blocks):
             share = max(1, int(block.size * fraction))
             blocks.append(
-                self._emit(
+                self.builder.emit(
                     P2PRecv,
                     name=f"d2din.{tag}.b{b_index}",
                     stream=block.return_lane,
@@ -926,14 +888,14 @@ class _PlanLowering:
                     dst=device,
                 )
             )
-        return self._emit(
+        return self.builder.emit(
             Barrier,
             name=f"d2din.{tag}.join",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=tuple(blocks),
-            done=(Record("swap_in", device, -1),),
+            done=[(RECORD, "swap_in", device, -1, -1)],
             device=device,
         )
 
@@ -942,14 +904,14 @@ class _PlanLowering:
     ) -> int:
         if action is Action.CPU_SWAP:
             entry = self.plan.entry_for(cls)
-            out = self._emit(
+            out = self.builder.emit(
                 SwapOut,
                 name=f"swapout.{tag}",
                 stream=("pcie_d2h", device),
                 mode="pool",
                 duration=transfer_time(chunk, self.job.server.pcie, lanes=1),
                 deps=deps,
-                done=(Drop(device, chunk, tag), Record("swap_out", device, -1)),
+                done=[(DROP, device, chunk, tag), (RECORD, "swap_out", device, -1, -1)],
                 device=device,
                 tag=tag,
                 size=chunk,
@@ -957,7 +919,7 @@ class _PlanLowering:
             )
             if entry.tier == "nvme":
                 nvme = self.job.server.nvme
-                return self._emit(
+                return self.builder.emit(
                     NvmeWrite,
                     name=f"nvmewrite.{tag}",
                     stream=("nvme", "write"),
@@ -976,7 +938,7 @@ class _PlanLowering:
         for b_index, block in enumerate(stripe.blocks):
             share = max(1, int(block.size * fraction))
             blocks.append(
-                self._emit(
+                self.builder.emit(
                     P2PSend,
                     name=f"d2dout.{tag}.b{b_index}",
                     stream=block.lane,
@@ -988,13 +950,13 @@ class _PlanLowering:
                     dst=block.importer,
                 )
             )
-        return self._emit(
+        return self.builder.emit(
             Barrier,
             name=f"d2dout.{tag}.join",
             stream=("d2d", device),
             mode="pool",
             duration=0.0,
             deps=tuple(blocks),
-            done=(Drop(device, chunk, tag), Record("swap_out", device, -1)),
+            done=[(DROP, device, chunk, tag), (RECORD, "swap_out", device, -1, -1)],
             device=device,
         )

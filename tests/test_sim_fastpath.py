@@ -31,7 +31,6 @@ from repro.sim.fastpath import (
     _PENDING,
     _RUNNING,
     FastInterpreter,
-    ProgramTape,
     fast_path_runs,
     gc_paused,
     reference_runs,
@@ -134,7 +133,7 @@ class TestSingleUse:
 
 class TestTape:
     def test_tape_shapes(self, program):
-        tape = ProgramTape(program)
+        tape = program.tape
         n = len(program.instructions)
         assert tape.n == n
         assert sum(len(m) for m in tape.members) == n
@@ -144,16 +143,15 @@ class TestTape:
     def test_durations_are_plain_floats(self, program):
         """np.float64 must not leak into results — records go through
         json.dumps, which rejects numpy scalars."""
-        tape = ProgramTape(program)
+        tape = program.tape
         assert all(type(d) is float for d in tape.durations)
         result = FastInterpreter(program).run()
         assert type(result.makespan) is float
         assert type(result.minibatch_time) is float
 
     def test_tape_is_reusable_across_runs(self, program):
-        tape = ProgramTape(program)
-        first = FastInterpreter(program, tape=tape).run()
-        second = FastInterpreter(program, tape=tape).run()
+        first = FastInterpreter(program).run()
+        second = FastInterpreter(program).run()
         assert result_fingerprint(first) == result_fingerprint(second)
 
 
@@ -275,7 +273,7 @@ class TestPoolArbitration:
         assert interp.ready[interp.tape.stream_of[3]] == []
 
     def test_tape_records_position_in_stream(self):
-        tape = ProgramTape(_pool_program())
+        tape = _pool_program().tape
         for members in tape.members:
             assert [tape.pos_in_stream[iid] for iid in members] == \
                 list(range(len(members)))
@@ -304,7 +302,7 @@ class TestPoolArbitration:
     def test_lowered_pool_streams_resume_bit_identically(self, program):
         """A lowered program with pool streams, perturbed late enough
         to resume, still matches a fresh reference run."""
-        assert "pool" in ProgramTape(program).stream_modes
+        assert "pool" in program.tape.stream_modes
         sim = IncrementalSimulator()
         sim.run(program)
         starts = sim._last.starts
