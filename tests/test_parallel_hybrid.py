@@ -253,3 +253,47 @@ def test_hybrid_task_rejects_conflicting_fields(server):
     with pytest.raises(ConfigurationError):
         SimTask(label="t", job=job, system="zero-offload",
                 hybrid=HybridConfig(dp=2))
+
+
+# -- pinned gradient sync (layouts the goldens do not reach) -------------
+
+_PINNED_SYNC = {
+    # (dp, placement_mode): per-stage (devices, algorithm, grad_bytes,
+    # n_buckets, allreduce_seconds, exposed_seconds)
+    (4, "strided"): [
+        ((0, 1, 2, 3), "hierarchical", 782118912, 30,
+         0.033452326268041246, 0.000943146886597912),
+        ((4, 5, 6, 7), "hierarchical", 554233856, 22,
+         0.023735004371134023, 0.00019387447422680726),
+    ],
+    (2, "islands"): [
+        ((0, 1), "ring", 429424640, 17,
+         0.018048232577319596, 0.00043213360824742586),
+        ((3, 2), "ring", 352694272, 14,
+         0.014824093690721655, 0.0005110132783505139),
+        ((4, 5), "ring", 352694272, 14,
+         0.014824093690721655, 0.0005110132783505139),
+        ((7, 6), "ring", 201539584, 8,
+         0.008470910680412372, 0.000763867381443295),
+    ],
+}
+
+
+@pytest.mark.parametrize("dp,mode", sorted(_PINNED_SYNC))
+def test_stage_allreduce_pinned_on_dgx1(dp, mode):
+    """BERT-0.35 on DGX-1 at layouts no golden covers: the per-stage
+    all-reduce accounting is pinned to the last bit."""
+    from repro.hardware.server import dgx1_server
+    from repro.job import pipedream_job
+    from repro.models import bert_variant
+
+    job = pipedream_job(bert_variant(0.35), dgx1_server())
+    result = run_hybrid(job, HybridConfig(dp=dp, placement_mode=mode),
+                        system="none")
+    assert result.ok
+    got = [(sync.devices, sync.algorithm, sync.grad_bytes, sync.n_buckets,
+            sync.allreduce_seconds, sync.exposed_seconds)
+           for sync in result.stage_allreduce]
+    assert [sync.stage for sync in result.stage_allreduce] == list(
+        range(len(got)))
+    assert got == _PINNED_SYNC[(dp, mode)]
