@@ -29,7 +29,7 @@ from repro.parallel.cluster import (
     chain_server,
     cluster_placement,
 )
-from repro.parallel.hybrid import DEFAULT_BUCKET_BYTES
+from repro.parallel.sync import DEFAULT_BUCKET_BYTES
 from repro.parallel.tensor import tp_shard_model
 
 GiB = 2 ** 30

@@ -134,6 +134,16 @@ class ZeroResult:
     def samples_per_second(self) -> float:
         return 0.0 if not self.ok else self._samples / self.minibatch_time
 
+    @property
+    def oom(self) -> Optional[str]:
+        """Why the step does not fit, or ``None`` when it does."""
+        return None if self.ok else self.reason
+
+    @property
+    def makespan(self) -> float:
+        """The modelled run is one training step."""
+        return self.minibatch_time
+
     # set via object.__setattr__ in run_zero
     _samples: int = 0
 

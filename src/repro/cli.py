@@ -19,63 +19,21 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.hardware.server import Server, dgx1_server, dgx2_server
-from repro.job import TrainingJob, dapple_job, gpipe_job, pipedream_job
-from repro.models import bert_variant, gpt_variant
+from repro.job import TrainingJob
+from repro.jobspec import (
+    PIPELINES,
+    SERVERS,
+    SYSTEMS,
+    build_cluster,
+    build_server,
+    default_pipeline,
+    job_from_spec,
+    load_job,
+    parse_model,
+)
 from repro.models.bert import BERT_VARIANTS
 from repro.models.gpt import GPT_VARIANTS
 from repro.units import fmt_bytes
-
-SERVERS = {"dgx1": dgx1_server, "dgx2": dgx2_server}
-SYSTEMS = ("none", "recomputation", "gpu-cpu-swap", "d2d-only", "mpress")
-
-
-def _parse_model(spec: str):
-    """'bert-0.64' / 'gpt-10.3' -> a model variant."""
-    try:
-        family, size = spec.split("-", 1)
-        billions = float(size.rstrip("bB"))
-    except ValueError:
-        raise ConfigurationError(
-            f"model spec {spec!r} must look like 'bert-0.64' or 'gpt-10.3'"
-        )
-    if family.lower() == "bert":
-        return bert_variant(billions)
-    if family.lower() == "gpt":
-        return gpt_variant(billions)
-    raise ConfigurationError(f"unknown model family {family!r}")
-
-
-def _build_server(name: str) -> Server:
-    builder = SERVERS.get(name)
-    if builder is None:
-        raise ConfigurationError(f"unknown server {name!r}; options: {sorted(SERVERS)}")
-    return builder()
-
-
-def _build_cluster(args, force: bool = False):
-    """``--nodes``/``--fabric`` -> a Cluster, or None for one box.
-
-    ``force`` builds a single-server cluster even at ``--nodes 1`` so
-    TP-only runs go through the cluster path.
-    """
-    from repro.hardware.cluster import make_cluster
-    from repro.hardware.links import FABRICS
-
-    nodes = getattr(args, "nodes", 1) or 1
-    if nodes <= 1 and not force:
-        return None
-    fabric_name = getattr(args, "fabric", "ib-edr")
-    fabric = FABRICS.get(fabric_name)
-    if fabric is None:
-        raise ConfigurationError(
-            f"unknown fabric {fabric_name!r}; options: {sorted(FABRICS)}")
-    builder = SERVERS.get(args.server)
-    if builder is None:
-        raise ConfigurationError(
-            f"unknown server {args.server!r}; options: {sorted(SERVERS)}")
-    return make_cluster(builder, nodes, name=f"{nodes}x-{args.server}",
-                        fabric=fabric)
 
 
 def _require_single_node(args, command: str) -> None:
@@ -89,25 +47,12 @@ def _require_single_node(args, command: str) -> None:
 
 def _build_job(args) -> TrainingJob:
     if getattr(args, "spec", None):
-        from repro.jobspec import load_job
-
         return load_job(args.spec)
     if not args.model:
         raise ConfigurationError("either --model or --spec is required")
-    model = _parse_model(args.model)
-    server = _build_server(args.server)
-    builders = {"pipedream": pipedream_job, "dapple": dapple_job, "gpipe": gpipe_job}
-    builder = builders.get(args.pipeline)
-    if builder is None:
-        raise ConfigurationError(f"unknown pipeline {args.pipeline!r}")
-    kwargs = {}
-    if args.microbatch is not None:
-        kwargs["microbatch_size"] = args.microbatch
-    return builder(model, server, **kwargs)
-
-
-def _default_pipeline(model_spec: str) -> str:
-    return "pipedream" if model_spec.lower().startswith("bert") else "dapple"
+    return job_from_spec({"model": args.model, "server": args.server,
+                          "pipeline": args.pipeline,
+                          "microbatch_size": args.microbatch})
 
 
 # -- subcommands --------------------------------------------------------------
@@ -231,7 +176,7 @@ def _cmd_plan(args) -> int:
     if (getattr(args, "nodes", 1) or 1) > 1 or args.tp > 1:
         from repro.parallel.cluster import ClusterConfig, plan_chain_job
 
-        cluster = _build_cluster(args, force=True)
+        cluster = build_cluster(args.server, args.nodes, args.fabric)
         config = ClusterConfig(tp=args.tp, dp=args.dp, pp=args.pp,
                                sequence_parallel=args.sp)
         job, placement = plan_chain_job(job, cluster, config)
@@ -296,7 +241,7 @@ def _cmd_autoplan(args) -> int:
     from repro.autoplan import AutoPlanConfig, autoplan
 
     job = _build_job(args)
-    cluster = _build_cluster(args, force=True)
+    cluster = build_cluster(args.server, args.nodes, args.fabric)
     config = AutoPlanConfig(
         budget_gib=args.budget_gib,
         frontier_fraction=args.frontier_fraction,
@@ -317,8 +262,8 @@ def _cmd_autoplan(args) -> int:
 def _cmd_zero(args) -> int:
     from repro.baselines.zero import ZeroOptions, run_zero
 
-    model = _parse_model(args.model)
-    server = _build_server(args.server)
+    model = parse_model(args.model)
+    server = build_server(args.server)
     options = ZeroOptions(
         ring_efficiency=args.ring_efficiency,
         comm_overlap=args.comm_overlap,
@@ -337,6 +282,32 @@ def _cmd_zero(args) -> int:
     return 0
 
 
+def _print_sync_and_peaks(result) -> None:
+    """The gradient-sync table and per-GPU peaks of a hybrid or
+    cluster result."""
+    from repro.analysis.reporting import format_table
+
+    if result.stage_allreduce:
+        rows = [
+            [
+                str(sync.stage),
+                ",".join(str(d) for d in sync.devices),
+                sync.algorithm,
+                fmt_bytes(sync.grad_bytes),
+                str(sync.n_buckets),
+                f"{sync.allreduce_seconds * 1e3:.3f}",
+                f"{sync.exposed_seconds * 1e3:.3f}",
+            ]
+            for sync in result.stage_allreduce
+        ]
+        print(format_table(
+            ["stage", "devices", "algorithm", "grads", "buckets",
+             "all-reduce ms", "exposed ms"],
+            rows, title="gradient synchronisation"))
+    peaks = result.peak_memory_per_gpu()
+    print(f"  per-GPU peaks: {' '.join(fmt_bytes(p) for p in peaks)}")
+
+
 def _cmd_hybrid_cluster(args) -> int:
     """3D path: TP x DP x PP over a (possibly single-server) cluster."""
     from repro.analysis.reporting import format_table
@@ -344,7 +315,7 @@ def _cmd_hybrid_cluster(args) -> int:
     from repro.units import MiB
 
     job = _build_job(args)
-    cluster = _build_cluster(args, force=True)
+    cluster = build_cluster(args.server, args.nodes, args.fabric)
     config = ClusterConfig(
         tp=args.tp,
         dp=args.dp,
@@ -384,30 +355,11 @@ def _cmd_hybrid_cluster(args) -> int:
         print(format_table(
             ["stage", "groups", "microbatch ms", "minibatch ms"],
             rows, title="tensor-parallel collectives"))
-    if result.stage_allreduce:
-        rows = [
-            [
-                str(sync.stage),
-                ",".join(str(d) for d in sync.devices),
-                sync.algorithm,
-                fmt_bytes(sync.grad_bytes),
-                str(sync.n_buckets),
-                f"{sync.allreduce_seconds * 1e3:.3f}",
-                f"{sync.exposed_seconds * 1e3:.3f}",
-            ]
-            for sync in result.stage_allreduce
-        ]
-        print(format_table(
-            ["stage", "devices", "algorithm", "grads", "buckets",
-             "all-reduce ms", "exposed ms"],
-            rows, title="gradient synchronisation"))
-    peaks = result.peak_memory_per_gpu()
-    print(f"  per-GPU peaks: {' '.join(fmt_bytes(p) for p in peaks)}")
+    _print_sync_and_peaks(result)
     return 0
 
 
 def _cmd_hybrid(args) -> int:
-    from repro.analysis.reporting import format_table
     from repro.parallel import HybridConfig, run_hybrid
     from repro.units import MiB
 
@@ -439,38 +391,18 @@ def _cmd_hybrid(args) -> int:
     print(f"  minibatch: {result.minibatch_time * 1e3:.2f} ms "
           f"(replica {result.replica_minibatch_time * 1e3:.2f} ms + "
           f"exposed all-reduce {result.exposed_allreduce * 1e3:.2f} ms)")
-    if result.stage_allreduce:
-        rows = [
-            [
-                str(sync.stage),
-                ",".join(str(d) for d in sync.devices),
-                sync.algorithm,
-                fmt_bytes(sync.grad_bytes),
-                str(sync.n_buckets),
-                f"{sync.allreduce_seconds * 1e3:.3f}",
-                f"{sync.exposed_seconds * 1e3:.3f}",
-            ]
-            for sync in result.stage_allreduce
-        ]
-        print(format_table(
-            ["stage", "devices", "algorithm", "grads", "buckets",
-             "all-reduce ms", "exposed ms"],
-            rows, title="gradient synchronisation"))
-    peaks = result.peak_memory_per_gpu()
-    print(f"  per-GPU peaks: {' '.join(fmt_bytes(p) for p in peaks)}")
+    _print_sync_and_peaks(result)
     return 0
 
 
 def _cmd_capacity(args) -> int:
     from repro.core.capacity import max_trainable_variant
 
-    server = _build_server(args.server)
-    if args.family == "bert":
-        variants = {b: bert_variant(b) for b in sorted(BERT_VARIANTS)}
-        builder = lambda model: pipedream_job(model, server)  # noqa: E731
-    else:
-        variants = {b: gpt_variant(b) for b in sorted(GPT_VARIANTS)}
-        builder = lambda model: dapple_job(model, server)  # noqa: E731
+    server = build_server(args.server)
+    sizes = BERT_VARIANTS if args.family == "bert" else GPT_VARIANTS
+    variants = {b: parse_model(f"{args.family}-{b}") for b in sorted(sizes)}
+    pipeline = PIPELINES[default_pipeline(args.family)]
+    builder = lambda model: pipeline(model, server)  # noqa: E731
     result = max_trainable_variant(variants, builder, args.system)
     if result.any_trainable:
         print(f"largest trainable {args.family} under {args.system}: "
@@ -512,19 +444,16 @@ def _cmd_sweep(args) -> int:
             raise ConfigurationError("either --preset or --models is required")
         from repro.analysis.sweep import sweep_tasks
 
-        server = _build_server(args.server)
-        builders = {"pipedream": pipedream_job, "dapple": dapple_job,
-                    "gpipe": gpipe_job}
         jobs = {}
         for spec in args.models.split(","):
             spec = spec.strip()
-            pipeline = args.pipeline or _default_pipeline(spec)
-            jobs[spec] = builders[pipeline](_parse_model(spec), server)
+            jobs[spec] = job_from_spec({"model": spec, "server": args.server,
+                                        "pipeline": args.pipeline})
         if (getattr(args, "nodes", 1) or 1) > 1:
             # Cluster sweep: the TP x DP x PP shape grid per model.
             from repro.analysis.cluster_scaling import cluster_scaling_tasks
 
-            cluster = _build_cluster(args)
+            cluster = build_cluster(args.server, args.nodes, args.fabric)
             systems = [s.strip() for s in args.systems.split(",")]
             tasks = []
             for job in jobs.values():
@@ -567,8 +496,8 @@ def _cmd_serve_sim(args) -> int:
     """Simulate one LLM-serving episode (continuous batching + KV paging)."""
     from repro.inference import InferenceConfig, run_serving
 
-    model = _parse_model(args.model)
-    server = _build_server(args.server)
+    model = parse_model(args.model)
+    server = build_server(args.server)
     config = InferenceConfig(
         seed=args.seed,
         n_requests=args.requests,
@@ -665,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_job_args(p):
         p.add_argument("--model", default=None, help="e.g. bert-0.64 or gpt-10.3")
         p.add_argument("--server", default="dgx1", choices=sorted(SERVERS))
-        p.add_argument("--pipeline", default=None,
-                       choices=("pipedream", "dapple", "gpipe"))
+        p.add_argument("--pipeline", default=None, choices=tuple(PIPELINES))
         p.add_argument("--microbatch", type=int, default=None)
         p.add_argument("--nodes", type=int, default=1, metavar="N",
                        help="server count (N>1 builds a cluster over --fabric)")
@@ -821,8 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--fabric", default="ib-edr",
                        choices=("ib-edr", "ib-hdr", "eth-100g"),
                        help="inter-node link when --nodes > 1")
-    sweep.add_argument("--pipeline", default=None,
-                       choices=("pipedream", "dapple", "gpipe"))
+    sweep.add_argument("--pipeline", default=None, choices=tuple(PIPELINES))
     sweep.add_argument("--systems", default="none,recomputation,mpress",
                        help="comma list of systems to sweep")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -906,9 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "pipeline", None) is None and getattr(args, "model", None):
-        if hasattr(args, "microbatch"):
-            args.pipeline = _default_pipeline(args.model)
     try:
         return args.func(args)
     except ConfigurationError as error:

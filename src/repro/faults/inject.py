@@ -26,28 +26,26 @@ from repro.faults.report import FailureRecord, ResilienceReport
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.hardware.bandwidth import transfer_time
 from repro.sim.events import DeviceFailed, FaultWindowClosed, FaultWindowOpened
-from repro.sim.trace import TraceEvent
 
 
 class FaultInjector:
     """Wires one fault schedule into one simulation's engine.
 
-    When an event ``bus`` is given, failures and fault windows are
-    published on it (:class:`~repro.sim.events.DeviceFailed`,
-    :class:`~repro.sim.events.FaultWindowOpened`/``Closed``) and trace
-    recording is left to bus subscribers; without one the injector
-    writes recovery trace events directly (legacy executor path).
+    Failures and fault windows are published on the event ``bus``
+    (:class:`~repro.sim.events.DeviceFailed`,
+    :class:`~repro.sim.events.FaultWindowOpened`/``Closed``); trace
+    recording is left to bus subscribers.  ``trace`` is only read, to
+    find the last checkpoint a failure rolls back to.
     """
 
     def __init__(self, schedule: FaultSchedule, engine, streams, job,
-                 memory, trace, record_trace: bool = True, bus=None):
+                 memory, trace, bus):
         self.schedule = schedule
         self.engine = engine
         self.streams = streams
         self.job = job
         self.memory = memory
         self.trace = trace
-        self.record_trace = record_trace
         self.bus = bus
         self.failures: List[FailureRecord] = []
         # Active window factors per stream key; the rate applied is
@@ -99,16 +97,15 @@ class FaultInjector:
         for key in keys:
             self._active.setdefault(key, []).append(fault.factor)
             self._apply_rate(key)
-        if self.bus is not None:
-            self.bus.publish(
-                FaultWindowOpened(
-                    kind=fault.kind.value,
-                    device=fault.device,
-                    factor=fault.factor,
-                    time=self.engine.now,
-                    stream_keys=tuple(keys),
-                )
+        self.bus.publish(
+            FaultWindowOpened(
+                kind=fault.kind.value,
+                device=fault.device,
+                factor=fault.factor,
+                time=self.engine.now,
+                stream_keys=tuple(keys),
             )
+        )
 
     def _close_window(self, fault: FaultSpec, keys: List[Hashable]) -> None:
         for key in keys:
@@ -116,16 +113,15 @@ class FaultInjector:
             if fault.factor in factors:
                 factors.remove(fault.factor)
             self._apply_rate(key)
-        if self.bus is not None:
-            self.bus.publish(
-                FaultWindowClosed(
-                    kind=fault.kind.value,
-                    device=fault.device,
-                    factor=fault.factor,
-                    time=self.engine.now,
-                    stream_keys=tuple(keys),
-                )
+        self.bus.publish(
+            FaultWindowClosed(
+                kind=fault.kind.value,
+                device=fault.device,
+                factor=fault.factor,
+                time=self.engine.now,
+                stream_keys=tuple(keys),
             )
+        )
 
     def _apply_rate(self, key: Hashable) -> None:
         if key not in self.streams:
@@ -166,30 +162,18 @@ class FaultInjector:
             resume_time=now + recovery,
         )
         self.failures.append(record)
-        if self.bus is not None:
-            # TraceRecorder (attached iff record_trace) turns this
-            # into the same recovery trace event the legacy path wrote.
-            self.bus.publish(
-                DeviceFailed(
-                    device=fault.device,
-                    time=now,
-                    resume_time=now + recovery,
-                    lost_seconds=lost,
-                    reload_bytes=reload_bytes,
-                    reload_seconds=reload_seconds,
-                )
+        # TraceRecorder (attached iff record_trace) turns this into
+        # the recovery trace event.
+        self.bus.publish(
+            DeviceFailed(
+                device=fault.device,
+                time=now,
+                resume_time=now + recovery,
+                lost_seconds=lost,
+                reload_bytes=reload_bytes,
+                reload_seconds=reload_seconds,
             )
-        elif self.record_trace:
-            self.trace.record(
-                TraceEvent(
-                    name=f"recovery.gpu{fault.device}",
-                    kind="recovery",
-                    device=fault.device,
-                    microbatch=-1,
-                    start=now,
-                    end=now + recovery,
-                )
-            )
+        )
 
     def _last_checkpoint_time(self) -> float:
         """End of the last minibatch every stage finished optimizing.

@@ -35,10 +35,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
+from repro.hardware.server import Server, dgx1_server, dgx2_server
 from repro.job import TrainingJob, dapple_job, gpipe_job, pipedream_job
+from repro.models import bert_variant, gpt_variant
+
+SERVERS = {"dgx1": dgx1_server, "dgx2": dgx2_server}
+PIPELINES = {"pipedream": pipedream_job, "dapple": dapple_job,
+             "gpipe": gpipe_job}
+# Memory-saving pipeline systems (the paper's Figure 7 columns) and
+# the analytic ZeRO baselines.
+SYSTEMS = ("none", "recomputation", "gpu-cpu-swap", "d2d-only", "mpress")
+ZERO_SYSTEMS = ("zero-offload", "zero-infinity")
 
 _REQUIRED = ("model", "server")
 _OPTIONAL = {
@@ -62,7 +72,53 @@ _SERVING = {
     "workload": "training",
     "inference": None,
 }
-_BUILDERS = {"pipedream": pipedream_job, "dapple": dapple_job, "gpipe": gpipe_job}
+
+
+def parse_model(spec: str):
+    """'bert-0.64' / 'gpt-10.3' -> a model variant."""
+    try:
+        family, size = spec.split("-", 1)
+        billions = float(size.rstrip("bB"))
+    except ValueError:
+        raise ConfigurationError(
+            f"model spec {spec!r} must look like 'bert-0.64' or 'gpt-10.3'"
+        )
+    if family.lower() == "bert":
+        return bert_variant(billions)
+    if family.lower() == "gpt":
+        return gpt_variant(billions)
+    raise ConfigurationError(f"unknown model family {family!r}")
+
+
+def build_server(name: str) -> Server:
+    """A fresh server of the named type."""
+    builder = SERVERS.get(name)
+    if builder is None:
+        raise ConfigurationError(
+            f"unknown server {name!r}; options: {sorted(SERVERS)}")
+    return builder()
+
+
+def default_pipeline(model_spec: str) -> str:
+    """PipeDream for BERT, DAPPLE for GPT (the paper's pairing)."""
+    return "pipedream" if model_spec.lower().startswith("bert") else "dapple"
+
+
+def build_cluster(server: str, nodes: int, fabric: str):
+    """``nodes`` copies of the named server over the named fabric."""
+    from repro.hardware.cluster import make_cluster
+    from repro.hardware.links import FABRICS
+
+    nodes = int(nodes or 1)
+    link = FABRICS.get(fabric)
+    if link is None:
+        raise ConfigurationError(
+            f"unknown fabric {fabric!r}; options: {sorted(FABRICS)}")
+    if server not in SERVERS:
+        raise ConfigurationError(
+            f"unknown server {server!r}; options: {sorted(SERVERS)}")
+    return make_cluster(SERVERS[server], nodes, name=f"{nodes}x-{server}",
+                        fabric=link)
 
 
 def job_from_spec(spec: Dict) -> TrainingJob:
@@ -75,12 +131,10 @@ def job_from_spec(spec: Dict) -> TrainingJob:
         if key not in spec:
             raise ConfigurationError(f"job spec missing required key {key!r}")
 
-    from repro.cli import _build_server, _default_pipeline, _parse_model
-
-    model = _parse_model(spec["model"])
-    server = _build_server(spec["server"])
-    pipeline = spec.get("pipeline") or _default_pipeline(spec["model"])
-    builder = _BUILDERS.get(pipeline)
+    model = parse_model(spec["model"])
+    server = build_server(spec["server"])
+    pipeline = spec.get("pipeline") or default_pipeline(spec["model"])
+    builder = PIPELINES.get(pipeline)
     if builder is None:
         raise ConfigurationError(f"unknown pipeline {pipeline!r}")
 
@@ -104,33 +158,36 @@ def load_job(path: str) -> TrainingJob:
     return job_from_spec(spec)
 
 
+def _explicit_degrees(spec: Dict, keys=("nodes", "tp", "dp", "pp")
+                      ) -> List[str]:
+    """The parallelism ``keys`` the spec sets away from their defaults."""
+    explicit = []
+    for key in keys:
+        default = _CLUSTER[key]
+        try:
+            value = int(spec.get(key, default) or default)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{key} must be an integer, got {spec[key]!r}")
+        if value != default:
+            explicit.append(key)
+    return explicit
+
+
 def cluster_from_spec(spec: Dict, force: bool = False):
     """The spec's :class:`~repro.hardware.cluster.Cluster`, or ``None``.
 
-    ``None`` when the spec describes a single box with no tensor
-    parallelism — callers fall back to the plain job path.  ``force``
-    builds the (one-server) cluster anyway; the autoplan path needs a
-    real cluster even for a single box, since the shape search itself
-    decides whether tensor parallelism pays.
+    ``None`` when the spec leaves nodes, tp, dp and pp at their
+    defaults — callers fall back to the plain job path.  Any explicit
+    degree, even on one box, takes the cluster path, so it reaches the
+    task's label and cache key.  ``force`` builds the (one-server)
+    cluster anyway; the autoplan path needs a real cluster even for a
+    single box, since the shape search itself decides the degrees.
     """
-    from repro.cli import SERVERS
-    from repro.hardware.cluster import make_cluster
-    from repro.hardware.links import FABRICS
-
-    nodes = int(spec.get("nodes", 1) or 1)
-    if not force and nodes <= 1 and int(spec.get("tp", 1)) <= 1:
+    if not force and not _explicit_degrees(spec):
         return None
-    fabric_name = spec.get("fabric", "ib-edr")
-    fabric = FABRICS.get(fabric_name)
-    if fabric is None:
-        raise ConfigurationError(
-            f"unknown fabric {fabric_name!r}; options: {sorted(FABRICS)}")
-    builder = SERVERS.get(spec["server"])
-    if builder is None:
-        raise ConfigurationError(
-            f"unknown server {spec['server']!r}; options: {sorted(SERVERS)}")
-    return make_cluster(builder, nodes, name=f"{nodes}x-{spec['server']}",
-                        fabric=fabric)
+    return build_cluster(spec["server"], spec.get("nodes", 1),
+                         spec.get("fabric", "ib-edr"))
 
 
 def cluster_config_from_spec(spec: Dict):
@@ -161,11 +218,10 @@ def autoplan_config_from_spec(spec: Dict):
             raise ConfigurationError(
                 'budget_gib only applies to "shape": "auto" specs')
         return None
-    for key, default in (("tp", 1), ("dp", 1), ("pp", 0)):
-        if int(spec.get(key, default) or default) != default:
-            raise ConfigurationError(
-                f'"shape": "auto" picks tp/dp/pp itself; drop the '
-                f"explicit {key}={spec[key]}")
+    for key in _explicit_degrees(spec, ("tp", "dp", "pp")):
+        raise ConfigurationError(
+            f'"shape": "auto" picks tp/dp/pp itself; drop the '
+            f"explicit {key}={spec[key]}")
     from repro.autoplan import AutoPlanConfig
 
     budget = spec.get("budget_gib")
@@ -195,11 +251,10 @@ def inference_config_from_spec(spec: Dict):
                 '"inference" settings only apply to '
                 '"workload": "inference" specs')
         return None
-    for key, default in (("nodes", 1), ("tp", 1), ("dp", 1), ("pp", 0)):
-        if int(spec.get(key, default) or default) != default:
-            raise ConfigurationError(
-                f'"workload": "inference" specs describe one server; '
-                f"drop the cluster key {key}={spec[key]}")
+    for key in _explicit_degrees(spec):
+        raise ConfigurationError(
+            f'"workload": "inference" specs describe one server; '
+            f"drop the cluster key {key}={spec[key]}")
     if spec.get("shape", "explicit") == "auto":
         raise ConfigurationError(
             '"shape": "auto" is a training-shape search; inference '
@@ -267,6 +322,10 @@ def task_from_spec(spec: Dict) -> "SimTask":
                      f"/kv={inference.kv_swap}")
         return SimTask(label=label, job=job, system=task_keys["system"],
                        inference=inference)
+    if task_keys["hybrid_dp"] is not None and _explicit_degrees(spec, ("dp",)):
+        raise ConfigurationError(
+            "hybrid_dp and dp both set the data-parallel degree; "
+            "give one of them")
     autoplan = autoplan_config_from_spec(spec)
     if autoplan is not None:
         cluster = cluster_from_spec(spec, force=True)

@@ -14,13 +14,7 @@ from repro.parallel.bucketing import (
     exposed_allreduce_time,
     gradient_buckets,
 )
-from repro.parallel.hybrid import (
-    COLLECTIVE_MODES,
-    HybridConfig,
-    HybridResult,
-    StageAllReduce,
-    run_hybrid,
-)
+from repro.parallel.hybrid import HybridConfig, HybridResult, run_hybrid
 from repro.parallel.placement import (
     PLACEMENT_MODES,
     ReplicaPlacement,
@@ -28,6 +22,8 @@ from repro.parallel.placement import (
     sub_server,
 )
 from repro.parallel.sync import (
+    COLLECTIVE_MODES,
+    StageAllReduce,
     SyncPricing,
     dp_sync_plane,
     price_sync_planes,

@@ -37,17 +37,19 @@ from repro.hardware.cluster import Cluster, ClusterTopology
 from repro.job import TrainingJob
 from repro.collectives.cost import all_reduce_time, pair_transfer_time
 from repro.collectives.schedule import ALL_REDUCE_ALGORITHMS
-from repro.parallel.hybrid import (
-    COLLECTIVE_MODES,
-    DEFAULT_BUCKET_BYTES,
-    StageAllReduce,
-)
 from repro.parallel.placement import (
     REFERENCE_ALLREDUCE_BYTES,
     REFERENCE_BOUNDARY_BYTES,
     sub_server,
 )
-from repro.parallel.sync import StageTPSync, dp_sync_plane, tp_sync_plane
+from repro.parallel.sync import (
+    COLLECTIVE_MODES,
+    DEFAULT_BUCKET_BYTES,
+    StageAllReduce,
+    StageTPSync,
+    dp_sync_plane,
+    tp_sync_plane,
+)
 from repro.parallel.tensor import tp_shard_model
 
 CLUSTER_PLACEMENT_MODES = ("auto", "packed", "spread")
@@ -384,10 +386,6 @@ def chain_server(cluster: Cluster, topology: ClusterTopology,
     base = topology.server_offsets()[server_index]
     local = [device - base for device in devices]
     return sub_server(cluster.servers[server_index], local)
-
-
-# Backward-compatible alias (pre-autoplan private name).
-_chain_server = chain_server
 
 
 # -- congruent-chain memoisation ---------------------------------------

@@ -5,7 +5,9 @@
 pipeline inside each replica through the existing system facade, and
 layers DDP-style gradient synchronisation on top: per-stage gradient
 buckets all-reduce across the replicas' stage groups, overlapping
-with the backward drain of the pipeline schedule.
+with the backward drain of the pipeline schedule.  That accounting is
+the cluster path's DP plane (:func:`repro.parallel.sync.dp_sync_plane`)
+at tp=1.
 
 Modelling choices, deliberately explicit:
 
@@ -29,28 +31,23 @@ facades only for its simulated frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.job import TrainingJob
-from repro.collectives.cost import best_all_reduce, collective_time
-from repro.collectives.lowering import simulate_collective_time
-from repro.collectives.schedule import ALL_REDUCE_ALGORITHMS, all_reduce_schedule
-from repro.parallel.bucketing import (
-    GradientBucket,
-    exposed_allreduce_time,
-    gradient_buckets,
-)
+from repro.collectives.schedule import ALL_REDUCE_ALGORITHMS
 from repro.parallel.placement import (
     PLACEMENT_MODES,
     ReplicaPlacement,
     replica_placement,
     sub_server,
 )
-
-COLLECTIVE_MODES = ("analytic", "simulate")
-DEFAULT_BUCKET_BYTES = 25 * 1024 * 1024
-
+from repro.parallel.sync import (
+    COLLECTIVE_MODES,
+    DEFAULT_BUCKET_BYTES,
+    StageAllReduce,
+    dp_sync_plane,
+)
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -82,19 +79,6 @@ class HybridConfig:
             raise ConfigurationError(
                 f"unknown placement mode {self.placement_mode!r}; "
                 f"options: {PLACEMENT_MODES}")
-
-
-@dataclass(frozen=True)
-class StageAllReduce:
-    """Gradient synchronisation accounting for one pipeline stage."""
-
-    stage: int
-    devices: Tuple[int, ...]
-    algorithm: str
-    grad_bytes: int
-    n_buckets: int
-    allreduce_seconds: float    # total wire time of all buckets
-    exposed_seconds: float      # tail left after backward overlap
 
 
 @dataclass
@@ -168,64 +152,6 @@ class HybridResult:
         return peaks
 
 
-def _stage_sync(job: TrainingJob, config: HybridConfig,
-                placement: ReplicaPlacement, replica) -> List[StageAllReduce]:
-    """Per-stage bucket all-reduce accounting against replica 0."""
-    server = job.server
-    topology = server.topology
-    stages = placement.stages_per_replica
-    schedule = replica.job.schedule
-    last_minibatch = replica.job.n_minibatches - 1
-    syncs: List[StageAllReduce] = []
-    for stage in range(stages):
-        group = placement.stage_group(stage)
-        grad_bytes = (replica.job.stage_plan.stage(stage).params
-                      * job.bytes_per_element)
-        if grad_bytes <= 0:
-            continue
-        buckets = gradient_buckets(grad_bytes, config.bucket_bytes)
-        times, algorithm = _bucket_times(topology, group, buckets, config,
-                                         server)
-        drain = schedule.backward_drain(stage, last_minibatch)
-        device = replica.plan.device_of(stage)
-        window = drain * replica.job.backward_time(stage, device)
-        exposed = exposed_allreduce_time(buckets, times, window,
-                                         overlap=config.overlap)
-        syncs.append(StageAllReduce(
-            stage=stage,
-            devices=group,
-            algorithm=algorithm,
-            grad_bytes=grad_bytes,
-            n_buckets=len(buckets),
-            allreduce_seconds=float(sum(times)),
-            exposed_seconds=exposed,
-        ))
-    return syncs
-
-
-def _bucket_times(topology, group, buckets: Tuple[GradientBucket, ...],
-                  config: HybridConfig, server) -> Tuple[List[float], str]:
-    """Per-bucket all-reduce seconds (bucket sizes dedupe to <= 2)."""
-    by_size: Dict[int, Tuple[float, str]] = {}
-    for bucket in buckets:
-        if bucket.size in by_size:
-            continue
-        if config.algorithm == "auto":
-            schedule, _ = best_all_reduce(topology, group, bucket.size,
-                                          pcie=server.pcie)
-        else:
-            schedule = all_reduce_schedule(topology, group, bucket.size,
-                                           config.algorithm)
-        if config.collective_mode == "simulate":
-            seconds = simulate_collective_time(server, schedule)
-        else:
-            seconds = collective_time(schedule, topology, server.pcie)
-        by_size[bucket.size] = (seconds, schedule.algorithm)
-    times = [by_size[bucket.size][0] for bucket in buckets]
-    algorithm = by_size[buckets[0].size][1]
-    return times, algorithm
-
-
 def run_hybrid(job: TrainingJob, config: Optional[HybridConfig] = None,
                system: str = "mpress") -> HybridResult:
     """Run a hybrid DP x PP job: ``dp`` replicas plus gradient sync."""
@@ -246,7 +172,9 @@ def run_hybrid(job: TrainingJob, config: Optional[HybridConfig] = None,
         replica_job = replace(job, server=sub_server(job.server, group))
         replicas.append(run_system(replica_job, system,
                                    reserve_bytes=reserve))
-    syncs = _stage_sync(job, config, placement, replicas[0])
+    syncs = dp_sync_plane(placement, job.server.topology, job, config,
+                          job.server, replicas[0].job,
+                          replicas[0].plan.device_of)
     return HybridResult(job=job, config=config, system=system,
                         placement=placement, replicas=replicas,
                         stage_allreduce=syncs)

@@ -53,6 +53,18 @@ class ReplicaPlacement:
         """The devices that all-reduce stage ``stage``'s gradients."""
         return tuple(group[stage] for group in self.groups)
 
+    # The placement view :func:`repro.parallel.sync.dp_sync_plane`
+    # reads: one tensor rank, ``pp`` stages per replica, and each
+    # stage's DP group is its stage group.
+    tp = 1
+
+    @property
+    def pp(self) -> int:
+        return self.stages_per_replica
+
+    def dp_group(self, tp_rank: int, stage: int) -> Tuple[int, ...]:
+        return self.stage_group(stage)
+
     @property
     def score(self) -> float:
         return self.allreduce_score + self.pipeline_score

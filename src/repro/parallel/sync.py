@@ -1,11 +1,13 @@
 """The two synchronisation planes of a TP x DP x PP run, shared
 between execution and pricing.
 
-``run_cluster`` historically carried private ``_tp_sync`` / ``_dp_sync``
-helpers; the autoplan pricing layer needs the same accounting *without*
-simulating any chain first, so both planes live here, parameterised by
-the chain job (either a simulated representative's job or an
-analytically built one) and a stage -> device mapping.
+``run_cluster``, ``run_hybrid`` (a :class:`~repro.parallel.placement.ReplicaPlacement` is a
+tp=1 placement view) and the autoplan pricing layer — which needs the
+accounting *without* simulating any chain first — all read both planes
+from here, parameterised by the chain job (either a simulated
+representative's job or an analytically built one) and a stage ->
+device mapping.  Per-bucket all-reduce pricing and the
+:class:`StageAllReduce` record live here too.
 
 Two pricing regimes:
 
@@ -39,11 +41,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.collectives.cost import group_span
+from repro.collectives.cost import best_all_reduce, collective_time, group_span
+from repro.collectives.lowering import simulate_collective_time
+from repro.collectives.schedule import all_reduce_schedule
 from repro.job import TrainingJob
-from repro.parallel.bucketing import exposed_allreduce_time, gradient_buckets
-from repro.parallel.hybrid import StageAllReduce, _bucket_times
+from repro.parallel.bucketing import (
+    GradientBucket,
+    exposed_allreduce_time,
+    gradient_buckets,
+)
 from repro.parallel.tensor import tp_sync_time
+
+COLLECTIVE_MODES = ("analytic", "simulate")
+DEFAULT_BUCKET_BYTES = 25 * 1024 * 1024
+
+
+@dataclass(frozen=True)
+class StageAllReduce:
+    """Gradient synchronisation accounting for one pipeline stage."""
+
+    stage: int
+    devices: Tuple[int, ...]
+    algorithm: str
+    grad_bytes: int
+    n_buckets: int
+    allreduce_seconds: float    # total wire time of all buckets
+    exposed_seconds: float      # tail left after backward overlap
 
 
 @dataclass(frozen=True)
@@ -86,6 +109,29 @@ def tp_sync_plane(placement, topology, job: TrainingJob, config,
             minibatch_seconds=per_minibatch,
         ))
     return syncs
+
+
+def _bucket_times(topology, group, buckets: Tuple[GradientBucket, ...],
+                  config, server) -> Tuple[List[float], str]:
+    """Per-bucket all-reduce seconds (bucket sizes dedupe to <= 2)."""
+    by_size: Dict[int, Tuple[float, str]] = {}
+    for bucket in buckets:
+        if bucket.size in by_size:
+            continue
+        if config.algorithm == "auto":
+            schedule, _ = best_all_reduce(topology, group, bucket.size,
+                                          pcie=server.pcie)
+        else:
+            schedule = all_reduce_schedule(topology, group, bucket.size,
+                                           config.algorithm)
+        if config.collective_mode == "simulate":
+            seconds = simulate_collective_time(server, schedule)
+        else:
+            seconds = collective_time(schedule, topology, server.pcie)
+        by_size[bucket.size] = (seconds, schedule.algorithm)
+    times = [by_size[bucket.size][0] for bucket in buckets]
+    algorithm = by_size[buckets[0].size][1]
+    return times, algorithm
 
 
 def dp_lane_factors(topology, placement) -> Dict[Tuple[int, int], float]:

@@ -2,38 +2,42 @@
 
 A :class:`SimTask` is the runtime's unit of work — everything one
 simulation needs, as picklable data (no callables), so it can cross a
-process boundary and be hashed into a cache key.  Three shapes cover
-every sweep in the repository:
+process boundary and be hashed into a cache key.  Which optional
+fields are set picks the task's *kind*:
 
-* **system runs** — ``run_system(job, system)``, the Figures 7/8
-  columns;
-* **planner-config runs** — ``MPress(job, config).run()``, the
-  Figure 9 ablation variants;
-* **plan replays** — ``simulate(job, plan, faults=...)``, the
-  resilience campaigns that re-execute a fixed plan under faults;
-* **ZeRO baselines** — the analytic ``run_zero`` models.
+* **train** — ``run_system(job, system)`` (the Figures 7/8 columns),
+  ``MPress(job, config)`` under an explicit planner configuration
+  (the Figure 9 ablations), or ``simulate(job, plan)`` replaying a
+  fixed plan; any of them optionally under a fault campaign;
+* **zero** — the analytic ZeRO-Offload/Infinity baselines;
+* **hybrid** — single-server DP x PP (``run_hybrid``);
+* **cluster** — one given TP x DP x PP shape over a multi-server
+  :class:`~repro.hardware.cluster.Cluster` (``run_cluster``);
+* **autoplan** — a TP x DP x PP shape search over a cluster;
+* **inference** — an LLM serving episode (``run_serving``).
+
+Each kind is defined once, as a row of the private ``_KINDS`` table:
+the optional fields it requires and allows, the systems it accepts,
+the keys it adds to the cache-key payload, and its executor.
 
 Executing a task produces a plain-JSON *record* (metrics, per-GPU
 peaks, the plan payload, a trace digest) rather than the live
 ``SimulationResult`` — records are small, picklable, cacheable, and
 deterministic, which is what makes content-addressed caching and
-golden-trace regression possible.
-
-The simulator behind :func:`execute_task` lowers each run through the
-instruction IR (``repro.sim.lowering`` → ``repro.sim.interpreter``;
-see ``docs/architecture.md``).  That pipeline replays the exact same
-event stream as the pre-IR executor, so cache keys, record payloads,
-and trace digests are unchanged — ``RUNTIME_CACHE_SALT`` deliberately
-stays at its pre-refactor value and shared cache directories remain
-warm across the split.
+golden-trace regression possible.  Every record carries the same 16
+fields (:func:`_record`); hybrid, cluster, autoplan and inference
+records add one sub-dict named after their kind, and ZeRO records
+fill the shared ``zero`` field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.autoplan.search import AutoPlanConfig
 from repro.core.plan import MemorySavingPlan
@@ -48,6 +52,7 @@ from repro.faults.spec import FaultSchedule
 from repro.hardware.cluster import Cluster
 from repro.inference.workload import InferenceConfig
 from repro.job import TrainingJob
+from repro.jobspec import SYSTEMS, ZERO_SYSTEMS
 from repro.parallel.cluster import ClusterConfig
 from repro.parallel.hybrid import HybridConfig
 
@@ -59,31 +64,19 @@ RUNTIME_CACHE_SALT = "repro-runtime-1"
 # Schema version of the record dicts below.
 RECORD_VERSION = 1
 
-_SYSTEMS = ("none", "recomputation", "gpu-cpu-swap", "d2d-only", "mpress")
-_ZERO_SYSTEMS = ("zero-offload", "zero-infinity")
-
 
 @dataclass(frozen=True)
 class SimTask:
     """One independent simulation in a sweep.
 
     ``label`` is cosmetic (progress lines, tables) and excluded from
-    the cache key; every other field is semantic.  When ``plan`` is
-    set the task *replays* that plan through the executor instead of
-    planning from scratch; when ``config`` is set the task runs the
-    MPress facade under that explicit planner configuration.  When
-    ``hybrid`` is set the task runs ``run_hybrid`` — ``system``
-    names the per-replica memory system and the hybrid layer adds
-    gradient synchronisation on top.  When ``cluster`` is set (with a
-    ``cluster_config``) the task runs ``run_cluster`` over that
-    multi-server fabric instead of ``job.server``.  When ``autoplan``
-    is set the task is a *shape search*: ``run_cluster`` picks the
-    TP x DP x PP shape itself over ``cluster`` (no ``cluster_config``
-    — the search's whole point is that none was chosen).  When
-    ``inference`` is set the task simulates an LLM *serving* episode
-    (``repro.inference``) on ``job.model`` / ``job.server`` instead of
-    a training run; ``system`` is cosmetic there and the serving
-    config's ``kv_swap`` selects the memory policy.
+    the cache key; every other field is semantic.  The optional fields
+    that are set select the task's :attr:`kind` (see the module
+    docstring); fields outside that kind's row are a
+    :class:`ConfigurationError`.  For hybrid, cluster and autoplan
+    tasks ``system`` names the per-replica (per-chain) memory system;
+    for inference tasks it is cosmetic and the serving config's
+    ``kv_swap`` selects the memory policy.
     """
 
     label: str
@@ -92,7 +85,6 @@ class SimTask:
     config: Optional[PlannerConfig] = None
     faults: Optional[FaultSchedule] = None
     plan: Optional[MemorySavingPlan] = None
-    record_trace: bool = True
     hybrid: Optional[HybridConfig] = None
     cluster: Optional[Cluster] = None
     cluster_config: Optional[ClusterConfig] = None
@@ -100,79 +92,36 @@ class SimTask:
     inference: Optional[InferenceConfig] = None
 
     def __post_init__(self) -> None:
-        known = _SYSTEMS + _ZERO_SYSTEMS
-        if self.system not in known:
+        kind = _kind_of(self)
+        present = {name for name in _OPTIONAL
+                   if getattr(self, name) is not None}
+        missing = [name for name in kind.requires if name not in present]
+        extra = [name for name in _OPTIONAL if name in present
+                 and name not in kind.requires + kind.allows]
+        if missing or extra:
+            problems = ([f"need {', '.join(missing)}"] if missing else []) \
+                + ([f"take no {', '.join(extra)}"] if extra else [])
             raise ConfigurationError(
-                f"unknown sweep system {self.system!r}; options: {sorted(known)}"
-            )
-        if self.system in _ZERO_SYSTEMS and (
-            self.config is not None or self.plan is not None
-        ):
+                f"{kind.name} tasks ({kind.summary}) "
+                f"{' and '.join(problems)}")
+        if self.system not in kind.systems:
             raise ConfigurationError(
-                "ZeRO tasks take no planner config or plan"
-            )
-        if self.hybrid is not None:
-            if self.system not in _SYSTEMS:
-                raise ConfigurationError(
-                    "hybrid tasks need a pipeline system, not "
-                    f"{self.system!r}"
-                )
-            if self.config is not None or self.plan is not None \
-                    or self.faults is not None:
-                raise ConfigurationError(
-                    "hybrid tasks take no planner config, plan, or faults"
-                )
-        if self.autoplan is not None:
-            if self.cluster is None:
-                raise ConfigurationError(
-                    "autoplan tasks need a Cluster (the shape search space)"
-                )
-            if self.cluster_config is not None:
-                raise ConfigurationError(
-                    "autoplan tasks pick the shape themselves; drop the "
-                    "explicit ClusterConfig"
-                )
-        elif (self.cluster is None) != (self.cluster_config is None):
-            raise ConfigurationError(
-                "cluster tasks need both a Cluster and a ClusterConfig"
-            )
-        if self.cluster is not None:
-            if self.system not in _SYSTEMS:
-                raise ConfigurationError(
-                    "cluster tasks need a pipeline system, not "
-                    f"{self.system!r}"
-                )
-            if self.hybrid is not None or self.config is not None \
-                    or self.plan is not None or self.faults is not None:
-                raise ConfigurationError(
-                    "cluster tasks take no hybrid config, planner config, "
-                    "plan, or faults"
-                )
-        if self.inference is not None:
-            if self.system not in _SYSTEMS:
-                raise ConfigurationError(
-                    "inference tasks need a pipeline system, not "
-                    f"{self.system!r}"
-                )
-            if (self.config is not None or self.plan is not None
-                    or self.faults is not None or self.hybrid is not None
-                    or self.cluster is not None or self.autoplan is not None):
-                raise ConfigurationError(
-                    "inference tasks take no planner config, plan, faults, "
-                    "hybrid, cluster, or autoplan settings"
-                )
+                f"{kind.name} tasks ({kind.summary}) take one of the "
+                f"systems {list(kind.systems)}, not {self.system!r}")
 
     @property
-    def is_zero(self) -> bool:
-        return self.system in _ZERO_SYSTEMS
+    def kind(self) -> str:
+        """Name of this task's row in the kind table."""
+        return _kind_of(self).name
 
     def key_payload(self) -> Dict:
         """The semantic content hashed into the cache key.
 
-        The ``hybrid`` key is only present for hybrid tasks, so the
-        payloads — and therefore the content addresses — of every
-        pre-hybrid task are byte-identical to what they always were
-        and shared cache directories stay warm.
+        Only a kind's own keys (its row's ``keys``) join the five base
+        keys, so the payloads — and therefore the content addresses —
+        of every train and ZeRO task are byte-identical to what they
+        were before hybrid, cluster, autoplan and inference tasks
+        existed, and shared cache directories stay warm.
 
         Execution strategy is deliberately absent: the fast-path tape
         interpreter and the reference interpreter produce bit-identical
@@ -190,26 +139,18 @@ class SimTask:
                 if self.plan is not None else None
             ),
         }
-        if self.hybrid is not None:
-            payload["hybrid"] = canonical_payload(self.hybrid)
-        if self.cluster is not None:
-            # Same gating as ``hybrid``: only cluster tasks carry these
-            # keys, so every single-server payload stays byte-identical.
-            payload["cluster"] = canonical_payload(self.cluster)
-            payload["cluster_config"] = canonical_payload(self.cluster_config)
-        if self.autoplan is not None:
-            # Gated like the keys above: only shape-search tasks carry
-            # it, so every pre-autoplan content address is unchanged.
-            payload["autoplan"] = canonical_payload(self.autoplan)
-        if self.inference is not None:
-            # Gated: only serving tasks carry the key, so every
-            # training-task content address is unchanged.
-            payload["inference"] = canonical_payload(self.inference)
+        for name in _kind_of(self).keys:
+            payload[name] = canonical_payload(getattr(self, name))
         return payload
 
     def cache_key(self) -> str:
         """Content address of this task's result."""
         return config_digest(self.key_payload(), salt=RUNTIME_CACHE_SALT)
+
+
+# SimTask's optional fields, in declaration order.
+_OPTIONAL = tuple(field.name for field in dataclasses.fields(SimTask)
+                  if field.default is None)
 
 
 def trace_digest(trace) -> str:
@@ -232,259 +173,93 @@ def execute_task(task: SimTask) -> Dict:
     This is the function sweep workers execute; everything it returns
     must be plain JSON so the result cache can persist it verbatim.
     """
-    if task.inference is not None:
-        return _execute_inference(task)
-    if task.is_zero:
-        return _execute_zero(task)
-    if task.autoplan is not None:
-        return _execute_autoplan(task)
-    if task.cluster is not None:
-        return _execute_cluster(task)
-    if task.hybrid is not None:
-        return _execute_hybrid(task)
+    return _kind_of(task).execute(task)
+
+
+# -- records ---------------------------------------------------------------
+
+# Stand-in result for a record with nothing to report.
+_NO_RESULT = SimpleNamespace(ok=False, oom=None, tflops=0.0,
+                             samples_per_second=0.0, minibatch_time=0.0,
+                             makespan=0.0)
+
+
+def _record(task: SimTask, result, *, feasible, peaks=(), trace=None,
+            plan=None, **sub) -> Dict:
+    """The 16 fields every record shares, then the kind's ``sub`` dict.
+
+    ``result`` is anything with ``ok``/``oom``/``tflops``/
+    ``samples_per_second``/``minibatch_time``/``makespan``; makespan,
+    ``peaks`` and the ``trace`` digest are only reported for runs that
+    fit.  ``sub`` may also replace a shared field in place (``zero``,
+    ``resilience``).
+    """
+    ok = result.ok
+    record = {
+        "version": RECORD_VERSION,
+        "label": task.label,
+        "system": task.system,
+        "ok": ok,
+        "oom": str(result.oom) if result.oom is not None else None,
+        "tflops": result.tflops,
+        "samples_per_second": result.samples_per_second,
+        "minibatch_time": result.minibatch_time,
+        "makespan": result.makespan if ok else 0.0,
+        "peak_bytes_per_gpu": list(peaks) if ok else [],
+        "feasible": feasible,
+        "plan": plan_to_dict(plan) if plan is not None else None,
+        "trace_digest": (
+            trace_digest(trace) if ok and trace is not None else None),
+        "n_trace_events": (
+            len(trace.events) if ok and trace is not None else 0),
+        "resilience": None,
+        "zero": None,
+    }
+    record.update(sub)
+    return record
+
+
+def _stage_allreduce(syncs) -> List[Dict]:
+    """Record rendering of per-stage gradient all-reduce accounting."""
+    return [dict(dataclasses.asdict(sync), devices=list(sync.devices))
+            for sync in syncs]
+
+
+# -- executors, one per kind -------------------------------------------------
+
+
+def _execute_train(task: SimTask) -> Dict:
     if task.plan is not None:
         from repro.sim.executor import simulate
 
         simulation = simulate(
             task.job, task.plan, strict=True, faults=task.faults
         )
-        return _simulation_record(task, simulation, plan=task.plan,
-                                  feasible=None)
-    if task.config is not None:
-        from repro.core.mpress import MPress
-
-        result = MPress(task.job, task.config, faults=task.faults).run()
+        plan, feasible = task.plan, None
     else:
-        from repro.core.mpress import run_system
+        if task.config is not None:
+            from repro.core.mpress import MPress
 
-        result = run_system(task.job, task.system, faults=task.faults)
-    return _simulation_record(
-        task,
-        result.simulation,
-        plan=result.plan,
-        feasible=result.planner_report.feasible,
-    )
+            result = MPress(task.job, task.config, faults=task.faults).run()
+        else:
+            from repro.core.mpress import run_system
 
-
-def _simulation_record(task: SimTask, simulation, plan, feasible) -> Dict:
-    record = {
-        "version": RECORD_VERSION,
-        "label": task.label,
-        "system": task.system,
-        "ok": simulation.ok,
-        "oom": str(simulation.oom) if simulation.oom is not None else None,
-        "tflops": simulation.tflops,
-        "samples_per_second": simulation.samples_per_second,
-        "minibatch_time": simulation.minibatch_time,
-        "makespan": simulation.makespan if simulation.ok else 0.0,
-        "peak_bytes_per_gpu": (
-            list(simulation.peak_memory_per_gpu) if simulation.ok else []
-        ),
-        "feasible": feasible,
-        "plan": plan_to_dict(plan) if plan is not None else None,
-        "trace_digest": trace_digest(simulation.trace) if simulation.ok else None,
-        "n_trace_events": len(simulation.trace.events) if simulation.ok else 0,
-        "resilience": None,
-        "zero": None,
-    }
+            result = run_system(task.job, task.system, faults=task.faults)
+        simulation, plan = result.simulation, result.plan
+        feasible = result.planner_report.feasible
     report = simulation.resilience
+    resilience = None
     if report is not None:
-        record["resilience"] = {
+        resilience = {
             "n_faults": len(task.faults) if task.faults is not None else 0,
             "n_failures": len(report.failures),
             "goodput_samples_per_second": report.goodput_samples_per_second,
             "recovery_seconds": report.total_recovery_seconds,
             "lost_seconds": report.lost_seconds,
         }
-    return record
-
-
-def _execute_inference(task: SimTask) -> Dict:
-    from repro.inference.run import run_serving
-
-    outcome = run_serving(task.job.model, task.job.server, task.inference)
-    record = _simulation_record(
-        task, outcome.simulation, plan=None, feasible=outcome.simulation.ok
-    )
-    record["inference"] = outcome.metrics.to_json()
-    return record
-
-
-def _execute_hybrid(task: SimTask) -> Dict:
-    from repro.parallel.hybrid import run_hybrid
-
-    result = run_hybrid(task.job, task.hybrid, system=task.system)
-    ok = result.ok
-    return {
-        "version": RECORD_VERSION,
-        "label": task.label,
-        "system": task.system,
-        "ok": ok,
-        "oom": result.oom,
-        "tflops": result.tflops,
-        "samples_per_second": result.samples_per_second,
-        "minibatch_time": result.minibatch_time,
-        "makespan": result.makespan if ok else 0.0,
-        "peak_bytes_per_gpu": result.peak_memory_per_gpu() if ok else [],
-        "feasible": all(
-            replica.planner_report.feasible for replica in result.replicas
-        ),
-        "plan": None,
-        "trace_digest": (
-            trace_digest(result.replicas[0].simulation.trace) if ok else None
-        ),
-        "n_trace_events": (
-            len(result.replicas[0].simulation.trace.events) if ok else 0
-        ),
-        "resilience": None,
-        "zero": None,
-        "hybrid": {
-            "dp": result.dp,
-            "placement_mode": result.placement.mode,
-            "groups": [list(group) for group in result.placement.groups],
-            "bucket_bytes": task.hybrid.bucket_bytes,
-            "collective_mode": task.hybrid.collective_mode,
-            "overlap": task.hybrid.overlap,
-            "replica_minibatch_time": result.replica_minibatch_time,
-            "exposed_allreduce": result.exposed_allreduce,
-            "stage_allreduce": [
-                {
-                    "stage": sync.stage,
-                    "devices": list(sync.devices),
-                    "algorithm": sync.algorithm,
-                    "grad_bytes": sync.grad_bytes,
-                    "n_buckets": sync.n_buckets,
-                    "allreduce_seconds": sync.allreduce_seconds,
-                    "exposed_seconds": sync.exposed_seconds,
-                }
-                for sync in result.stage_allreduce
-            ],
-            "replica_trace_digests": [
-                trace_digest(replica.simulation.trace)
-                if replica.ok else None
-                for replica in result.replicas
-            ],
-        },
-    }
-
-
-def _execute_autoplan(task: SimTask) -> Dict:
-    """Run a shape search and record the winner plus the full ranking.
-
-    Top-level metrics mirror the winning shape's cluster record (so
-    CSV export and sweep tables read autoplan cells like any other);
-    the ``autoplan`` sub-dict carries the ranked report, rejection
-    reasons and pruning counters.
-    """
-    from repro.autoplan import autoplan as run_autoplan
-
-    report = run_autoplan(task.job, task.cluster, config=task.autoplan,
-                          system=task.system)
-    best = report.best
-    winner = best.record if best is not None else None
-    ok = winner is not None and bool(winner["ok"])
-    return {
-        "version": RECORD_VERSION,
-        "label": task.label,
-        "system": task.system,
-        "ok": ok,
-        "oom": winner["oom"] if winner is not None else None,
-        "tflops": winner["tflops"] if ok else 0.0,
-        "samples_per_second": winner["samples_per_second"] if ok else 0.0,
-        "minibatch_time": winner["minibatch_time"] if ok else 0.0,
-        "makespan": winner["makespan"] if ok else 0.0,
-        "peak_bytes_per_gpu": (
-            list(winner["peak_bytes_per_gpu"]) if ok else []
-        ),
-        "feasible": winner["feasible"] if winner is not None else None,
-        "plan": None,
-        "trace_digest": winner["trace_digest"] if winner is not None else None,
-        "n_trace_events": winner["n_trace_events"] if winner is not None else 0,
-        "resilience": None,
-        "zero": None,
-        "autoplan": report.to_json(task.job),
-    }
-
-
-def _execute_cluster(task: SimTask) -> Dict:
-    from repro.parallel.cluster import run_cluster
-
-    result = run_cluster(task.job, task.cluster, task.cluster_config,
-                         system=task.system)
-    ok = result.ok
-    first = result.chains[0][0]
-    return {
-        "version": RECORD_VERSION,
-        "label": task.label,
-        "system": task.system,
-        "ok": ok,
-        "oom": result.oom,
-        "tflops": result.tflops,
-        "samples_per_second": result.samples_per_second,
-        "minibatch_time": result.minibatch_time,
-        "makespan": result.makespan if ok else 0.0,
-        "peak_bytes_per_gpu": result.peak_memory_per_gpu() if ok else [],
-        "feasible": all(
-            chain.planner_report.feasible
-            for replica in result.chains for chain in replica
-        ),
-        "plan": None,
-        "trace_digest": (
-            trace_digest(first.simulation.trace) if ok else None
-        ),
-        "n_trace_events": (
-            len(first.simulation.trace.events) if ok else 0
-        ),
-        "resilience": None,
-        "zero": None,
-        "cluster": {
-            "n_servers": result.cluster.n_servers,
-            "fabric": result.cluster.fabric.link_type.value,
-            "tp": result.tp,
-            "dp": result.dp,
-            "pp": result.pp,
-            "sequence_parallel": task.cluster_config.sequence_parallel,
-            "placement_mode": result.placement.mode,
-            "chains": [
-                [list(chain) for chain in replica]
-                for replica in result.placement.chains
-            ],
-            "bucket_bytes": task.cluster_config.bucket_bytes,
-            "collective_mode": task.cluster_config.collective_mode,
-            "overlap": task.cluster_config.overlap,
-            "chain_minibatch_time": result.chain_minibatch_time,
-            "exposed_tp_sync": result.exposed_tp_sync,
-            "exposed_allreduce": result.exposed_allreduce,
-            "tp_sync": [
-                {
-                    "stage": sync.stage,
-                    "n_groups": sync.n_groups,
-                    "microbatch_seconds": sync.microbatch_seconds,
-                    "minibatch_seconds": sync.minibatch_seconds,
-                }
-                for sync in result.tp_sync
-            ],
-            "stage_allreduce": [
-                {
-                    "stage": sync.stage,
-                    "devices": list(sync.devices),
-                    "algorithm": sync.algorithm,
-                    "grad_bytes": sync.grad_bytes,
-                    "n_buckets": sync.n_buckets,
-                    "allreduce_seconds": sync.allreduce_seconds,
-                    "exposed_seconds": sync.exposed_seconds,
-                }
-                for sync in result.stage_allreduce
-            ],
-            "chain_trace_digests": [
-                [
-                    trace_digest(chain.simulation.trace) if chain.ok else None
-                    for chain in replica
-                ]
-                for replica in result.chains
-            ],
-        },
-    }
+    return _record(task, simulation, feasible=feasible,
+                   peaks=simulation.peak_memory_per_gpu,
+                   trace=simulation.trace, plan=plan, resilience=resilience)
 
 
 def _execute_zero(task: SimTask) -> Dict:
@@ -497,29 +272,10 @@ def _execute_zero(task: SimTask) -> Dict:
         variant,
         task.job.samples_per_minibatch,
     )
-    return {
-        "version": RECORD_VERSION,
-        "label": task.label,
-        "system": task.system,
-        "ok": result.ok,
-        "oom": None if result.ok else result.reason,
-        "tflops": result.tflops,
-        "samples_per_second": (
-            task.job.samples_per_minibatch / result.minibatch_time
-            if result.ok and result.minibatch_time > 0 else 0.0
-        ),
-        "minibatch_time": result.minibatch_time,
-        "makespan": result.minibatch_time,
-        "peak_bytes_per_gpu": (
-            [result.per_gpu_memory] * task.job.server.n_gpus
-            if result.ok else []
-        ),
-        "feasible": result.ok,
-        "plan": None,
-        "trace_digest": None,
-        "n_trace_events": 0,
-        "resilience": None,
-        "zero": {
+    return _record(
+        task, result, feasible=result.ok,
+        peaks=[result.per_gpu_memory] * task.job.server.n_gpus,
+        zero={
             "variant": result.variant,
             "reason": result.reason,
             "compute_time": result.compute_time,
@@ -527,7 +283,175 @@ def _execute_zero(task: SimTask) -> Dict:
             "offload_exposed": result.offload_exposed,
             "host_bytes": result.host_bytes,
         },
-    }
+    )
+
+
+def _execute_hybrid(task: SimTask) -> Dict:
+    from repro.parallel.hybrid import run_hybrid
+
+    result = run_hybrid(task.job, task.hybrid, system=task.system)
+    return _record(
+        task, result,
+        feasible=all(
+            replica.planner_report.feasible for replica in result.replicas),
+        peaks=result.peak_memory_per_gpu(),
+        trace=result.replicas[0].simulation.trace,
+        hybrid={
+            "dp": result.dp,
+            "placement_mode": result.placement.mode,
+            "groups": [list(group) for group in result.placement.groups],
+            "bucket_bytes": task.hybrid.bucket_bytes,
+            "collective_mode": task.hybrid.collective_mode,
+            "overlap": task.hybrid.overlap,
+            "replica_minibatch_time": result.replica_minibatch_time,
+            "exposed_allreduce": result.exposed_allreduce,
+            "stage_allreduce": _stage_allreduce(result.stage_allreduce),
+            "replica_trace_digests": [
+                trace_digest(replica.simulation.trace)
+                if replica.ok else None
+                for replica in result.replicas
+            ],
+        },
+    )
+
+
+def _execute_cluster(task: SimTask) -> Dict:
+    from repro.parallel.cluster import run_cluster
+
+    result = run_cluster(task.job, task.cluster, task.cluster_config,
+                         system=task.system)
+    config = task.cluster_config
+    return _record(
+        task, result,
+        feasible=all(
+            chain.planner_report.feasible
+            for replica in result.chains for chain in replica
+        ),
+        peaks=result.peak_memory_per_gpu(),
+        trace=result.chains[0][0].simulation.trace,
+        cluster={
+            "n_servers": result.cluster.n_servers,
+            "fabric": result.cluster.fabric.link_type.value,
+            "tp": result.tp,
+            "dp": result.dp,
+            "pp": result.pp,
+            "sequence_parallel": config.sequence_parallel,
+            "placement_mode": result.placement.mode,
+            "chains": [
+                [list(chain) for chain in replica]
+                for replica in result.placement.chains
+            ],
+            "bucket_bytes": config.bucket_bytes,
+            "collective_mode": config.collective_mode,
+            "overlap": config.overlap,
+            "chain_minibatch_time": result.chain_minibatch_time,
+            "exposed_tp_sync": result.exposed_tp_sync,
+            "exposed_allreduce": result.exposed_allreduce,
+            "tp_sync": [dataclasses.asdict(sync) for sync in result.tp_sync],
+            "stage_allreduce": _stage_allreduce(result.stage_allreduce),
+            "chain_trace_digests": [
+                [
+                    trace_digest(chain.simulation.trace) if chain.ok else None
+                    for chain in replica
+                ]
+                for replica in result.chains
+            ],
+        },
+    )
+
+
+# Winner fields an autoplan record reports when the winning shape ran.
+_WINNER_FIELDS = ("ok", "oom", "tflops", "samples_per_second",
+                  "minibatch_time", "makespan", "peak_bytes_per_gpu",
+                  "feasible", "trace_digest", "n_trace_events")
+
+
+def _execute_autoplan(task: SimTask) -> Dict:
+    """Run a shape search and record the winner plus the full ranking.
+
+    Top-level metrics mirror the winning shape's cluster record (so
+    CSV export and sweep tables read autoplan cells like any other);
+    a winner that did not fit lends only its ``oom`` and ``feasible``.
+    The ``autoplan`` sub-dict carries the ranked report, rejection
+    reasons and pruning counters.
+    """
+    from repro.autoplan import autoplan as run_autoplan
+
+    report = run_autoplan(task.job, task.cluster, config=task.autoplan,
+                          system=task.system)
+    record = _record(task, _NO_RESULT, feasible=None,
+                     autoplan=report.to_json(task.job))
+    if report.best is not None:
+        winner = report.best.record
+        shown = _WINNER_FIELDS if winner["ok"] else ("oom", "feasible")
+        record.update((name, winner[name]) for name in shown)
+    return record
+
+
+def _execute_inference(task: SimTask) -> Dict:
+    from repro.inference.run import run_serving
+
+    outcome = run_serving(task.job.model, task.job.server, task.inference)
+    simulation = outcome.simulation
+    return _record(task, simulation, feasible=simulation.ok,
+                   peaks=simulation.peak_memory_per_gpu,
+                   trace=simulation.trace,
+                   inference=outcome.metrics.to_json())
+
+
+# -- the kind table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One task kind: its fields, systems, cache keys and executor."""
+
+    name: str
+    summary: str                     # for error messages
+    requires: Tuple[str, ...]        # optional fields that must be set
+    allows: Tuple[str, ...]          # optional fields that may be set
+    systems: Tuple[str, ...]
+    keys: Tuple[str, ...]            # added to the cache-key payload
+    execute: Callable[[SimTask], Dict]
+
+
+_KINDS = (
+    _Kind("train", "a memory-saving training run", (),
+          ("config", "faults", "plan"), SYSTEMS, (), _execute_train),
+    _Kind("zero", "an analytic ZeRO baseline", (), (), ZERO_SYSTEMS, (),
+          _execute_zero),
+    _Kind("hybrid", "DP x PP over one server", ("hybrid",), (), SYSTEMS,
+          ("hybrid",), _execute_hybrid),
+    _Kind("cluster", "one given TP x DP x PP shape over a Cluster",
+          ("cluster", "cluster_config"), (), SYSTEMS,
+          ("cluster", "cluster_config"), _execute_cluster),
+    # Autoplan keys keep the (null) cluster_config entry every task
+    # with a cluster has always hashed.
+    _Kind("autoplan", "a shape search over a Cluster",
+          ("cluster", "autoplan"), (), SYSTEMS,
+          ("cluster", "cluster_config", "autoplan"), _execute_autoplan),
+    _Kind("inference", "an LLM serving episode", ("inference",), (),
+          SYSTEMS, ("inference",), _execute_inference),
+)
+
+
+def _kind_of(task: SimTask) -> _Kind:
+    """The row whose required fields ``task`` sets most of.
+
+    Ties go to the row that accepts ``task.system``, then to table
+    order; the chosen row then checks the task in full.
+    """
+    if not any(task.system in kind.systems for kind in _KINDS):
+        known = sorted(system for kind in _KINDS for system in kind.systems)
+        raise ConfigurationError(
+            f"unknown sweep system {task.system!r}; options: {known}")
+    return max(_KINDS, key=lambda kind: (
+        sum(getattr(task, name) is not None for name in kind.requires),
+        task.system in kind.systems,
+    ))
+
+
+# -- reporting ---------------------------------------------------------------
 
 
 def peak_gib(record: Dict) -> float:

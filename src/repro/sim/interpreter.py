@@ -127,8 +127,7 @@ class Interpreter:
                 job,
                 self.memory,
                 self.trace,
-                record_trace=options.record_trace,
-                bus=self.bus,
+                self.bus,
             )
             self.injector.arm()
         self._tasks: List[Task] = []

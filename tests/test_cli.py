@@ -4,23 +4,24 @@ import json
 
 import pytest
 
-from repro.cli import _parse_model, build_parser, main
+from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
+from repro.jobspec import parse_model
 
 
 class TestModelSpecParsing:
     def test_bert_spec(self):
-        model = _parse_model("bert-0.35")
+        model = parse_model("bert-0.35")
         assert model.config.name == "Bert-0.35B"
 
     def test_gpt_spec_case_insensitive(self):
-        model = _parse_model("GPT-5.3b")
+        model = parse_model("GPT-5.3b")
         assert model.config.name == "GPT-5.3B"
 
     def test_bad_specs_rejected(self):
         for spec in ("bert", "llama-7", "bert-xx"):
             with pytest.raises(ConfigurationError):
-                _parse_model(spec)
+                parse_model(spec)
 
 
 class TestParser:

@@ -135,10 +135,8 @@ def test_cache_keys_are_execution_strategy_free():
     """Fast-path results share cache entries with full simulations:
     nothing about *how* a task is simulated reaches its cache key."""
     job = tiny_job()
-    traced = SimTask(label="a", job=job, system="recomputation")
-    untraced = dataclasses.replace(traced, label="b", record_trace=False)
-    assert traced.cache_key() == untraced.cache_key()
-    payload = json.dumps(traced.key_payload(), sort_keys=True, default=str)
+    task = SimTask(label="a", job=job, system="recomputation")
+    payload = json.dumps(task.key_payload(), sort_keys=True, default=str)
     for leak in ("fast", "interpreter", "record_trace", "search"):
         assert leak not in payload
 

@@ -155,3 +155,53 @@ class TestInferenceSpecs:
         }))
         assert record["ok"]
         assert record["inference"]["n_requests"] == 4
+
+
+class TestTrainingTaskSpecs:
+    BERT = {"model": "bert-0.35", "server": "dgx1"}
+
+    def test_plain_spec_is_a_train_task(self):
+        from repro.jobspec import cluster_from_spec, task_from_spec
+
+        assert cluster_from_spec(self.BERT) is None
+        task = task_from_spec(self.BERT)
+        assert task.kind == "train"
+        assert task.label == "bert-0.35/dgx1/mpress"
+
+    @pytest.mark.parametrize("extra,shape", [
+        ({"dp": 2}, "tp=1,dp=2,pp=0"),
+        ({"pp": 3}, "tp=1,dp=1,pp=3"),
+        ({"nodes": 1, "tp": 1, "dp": 2, "pp": 4}, "tp=1,dp=2,pp=4"),
+    ])
+    def test_single_box_degrees_take_the_cluster_path(self, extra, shape):
+        from repro.jobspec import task_from_spec
+
+        task = task_from_spec(dict(self.BERT, **extra))
+        assert task.kind == "cluster"
+        assert task.cluster.n_servers == 1
+        assert task.label.endswith(shape)
+        assert "cluster_config" in task.key_payload()
+        assert task.cache_key() != task_from_spec(self.BERT).cache_key()
+
+    @pytest.mark.parametrize("key", ["nodes", "tp", "dp", "pp"])
+    def test_non_integer_degree_rejected(self, key):
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match="integer"):
+            task_from_spec(dict(self.BERT, **{key: "two"}))
+
+    def test_hybrid_dp_with_explicit_dp_rejected(self):
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match="hybrid_dp"):
+            task_from_spec(dict(self.BERT, hybrid_dp=2, dp=2))
+        assert task_from_spec(dict(self.BERT, hybrid_dp=2)).kind == "hybrid"
+
+    def test_zero_task_with_faults_rejected(self):
+        from repro.jobspec import task_from_spec
+
+        spec = {"model": "gpt-5.3", "server": "dgx1",
+                "system": "zero-offload"}
+        assert task_from_spec(spec).kind == "zero"
+        with pytest.raises(ConfigurationError, match="faults"):
+            task_from_spec(dict(spec, faults_seed=3))
