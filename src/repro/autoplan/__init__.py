@@ -11,8 +11,7 @@ Three layers (docs/planner.md):
    from the cost-model, collective and placement primitives, with
    TP/DP sync priced under shared-fabric contention.
 3. :mod:`repro.autoplan.search` — simulate only the top-K frontier
-   through the existing coarse-to-fine machinery as content-addressed
-   cluster tasks, and rank.
+   as content-addressed cluster tasks, and rank.
 
 ``Planner`` (one chain), ``run_hybrid`` (DP x PP) and ``run_cluster``
 (TP x DP x PP) remain as thin single-shape facades over the same

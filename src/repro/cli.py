@@ -167,7 +167,6 @@ def _cmd_profile(args) -> int:
 
 def _cmd_plan(args) -> int:
     from repro.core.mpress import MPress
-    from repro.core.planner import PlannerConfig
     from repro.core.serialization import save_plan
 
     job = _build_job(args)
@@ -185,7 +184,7 @@ def _cmd_plan(args) -> int:
             print(f"cluster {cluster.name}: tp={placement.tp} "
                   f"dp={placement.dp} pp={placement.pp} ({placement.mode} "
                   f"placement); planning chain [{chain}]")
-    mpress = MPress(job, PlannerConfig(search=args.search))
+    mpress = MPress(job)
     plan = mpress.build_plan()
     report = mpress.planner_report
     if args.json:
@@ -194,13 +193,11 @@ def _cmd_plan(args) -> int:
         payload = {
             "model": job.model.config.name,
             "server": job.server.name,
-            "search": args.search,
             "feasible": report.feasible,
             "minibatch_seconds": report.final_time,
             "refine_iterations": report.refine_iterations,
             "accepted_upgrades": report.accepted_upgrades,
-            "n_full_sims": report.n_full_sims,
-            "n_fast_path": report.n_fast_path,
+            "n_emulations": report.n_emulations,
             "per_gpu_peak_gib": [peak / GiB for peak in report.final_peaks],
             "shape": None,
             "mapping": None,
@@ -227,8 +224,7 @@ def _cmd_plan(args) -> int:
         print(f"feasible: {report.feasible}; emulated minibatch "
               f"{report.final_time:.2f}s after {report.refine_iterations} "
               f"refinements")
-        print(f"search={args.search}: {report.n_full_sims} full simulations, "
-              f"{report.n_fast_path} candidates priced analytically")
+        print(f"{report.n_emulations} emulations")
     if args.out:
         save_plan(plan, args.out)
         if not args.json:
@@ -635,14 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--sp", action="store_true",
                       help="sequence parallelism (with --tp)")
     plan.add_argument("--out", default=None, metavar="PATH")
-    plan.add_argument(
-        "--search",
-        choices=("emulate", "coarse2fine"),
-        default="emulate",
-        help="refinement strategy: emulate every upgrade batch, or "
-             "price candidates analytically and simulate only the "
-             "frontier (docs/fastpath.md)",
-    )
     plan.add_argument("--json", action="store_true",
                       help="machine-readable report (shape, score, "
                            "per-GPU peaks) instead of the summary")

@@ -93,7 +93,7 @@ class MPress:
                 self.job,
                 plan,
                 strict=True,
-                prefetch_lead=self.config.prefetch_lead,
+                prefetch_lead=Planner.PREFETCH_LEAD,
                 faults=self.faults,
             )
         return MPressResult(

@@ -12,7 +12,8 @@ The planner combines D2D swap, GPU-CPU swap, and recomputation:
    fits;
 4. refine: repeatedly upgrade the worst-overhead assignments to D2D
    swap while spare GPU memory allows, keeping a change only when
-   the emulator measures an improvement.
+   the emulator measures an improvement.  The emulator judges every
+   candidate batch; the cost model only ranks candidates.
 
 Disabling techniques through :class:`PlannerConfig` yields the
 paper's baselines: recomputation-only, GPU-CPU-swap-only, and the
@@ -61,17 +62,6 @@ class PlannerConfig:
     allow_d2d: bool = True
     striping: bool = True
     mapping_mode: str = "auto"        # "auto" | "exact" | "greedy" | "identity"
-    fit_margin: float = 0.03          # target peak <= capacity * (1 - margin)
-    spare_reserve: float = 0.03       # importers keep this fraction free
-    max_refine_iterations: int = 6
-    refine_batch: int = 4
-    improvement_eps: float = 0.003
-    prefetch_lead: int = 2
-    # "emulate" measures every tentative upgrade batch; "coarse2fine"
-    # prices a wider candidate pool with the analytic cost model first
-    # and only lowers+simulates the predicted-profitable frontier
-    # (docs/fastpath.md).
-    search: str = "emulate"
 
 
 @dataclass
@@ -93,12 +83,6 @@ class PlannerReport:
     # Candidate plans emulated during the search; all of them share
     # one lowering skeleton (the Emulator lowers per plan only).
     n_emulations: int = 0
-    # Coarse-to-fine accounting: candidates priced by the analytic
-    # cost model instead of simulated, and full simulations actually
-    # spent (== n_emulations; kept separate so the ratio reads off
-    # the report directly).
-    n_fast_path: int = 0
-    n_full_sims: int = 0
     # Fault-aware planning (set when a fault profile was supplied).
     fault_profile: Optional[FaultSchedule] = None
     avoided_importers: List[int] = field(default_factory=list)
@@ -109,6 +93,19 @@ class PlannerReport:
 class Planner:
     """Builds a memory-saving plan for one training job."""
 
+    # Target peak <= capacity * (1 - _FIT_MARGIN).
+    _FIT_MARGIN = 0.03
+    # Importers keep this fraction of their spare free.
+    _SPARE_RESERVE = 0.03
+    # Refine rounds, upgrades tried per round, and the relative
+    # speedup an upgrade batch must show to be kept.
+    _MAX_REFINE_ITERATIONS = 6
+    _REFINE_BATCH = 4
+    _IMPROVEMENT_EPS = 0.003
+    # Compute instructions a swap-in may start ahead of its consumer;
+    # the strict run of the plan uses the same lead.
+    PREFETCH_LEAD = 2
+
     def __init__(
         self,
         job: TrainingJob,
@@ -118,8 +115,6 @@ class Planner:
     ):
         self.job = job
         self.config = config
-        if config.search not in ("emulate", "coarse2fine"):
-            raise ValueError(f"unknown planner search {config.search!r}")
         if faults is not None and faults.is_empty:
             faults = None
         self.faults = faults
@@ -132,7 +127,7 @@ class Planner:
         # buffers there, so plans leave room for them.
         self.reserve_bytes = max(0, reserve_bytes)
         self._target = (
-            int(self._capacity * (1.0 - config.fit_margin)) - self.reserve_bytes
+            int(self._capacity * (1.0 - self._FIT_MARGIN)) - self.reserve_bytes
         )
         # The emulation of the plan the last build() returned; MPress
         # may reuse it as the strict run (it stays out of the report,
@@ -151,7 +146,7 @@ class Planner:
         # One emulator for the whole search: the tighten/refine loop
         # re-interprets candidate plans against a single cached
         # lowering skeleton instead of re-walking the graph per plan.
-        emulator = Emulator(self.job, prefetch_lead=self.config.prefetch_lead)
+        emulator = Emulator(self.job, prefetch_lead=self.PREFETCH_LEAD)
 
         assignments, feasible = self._initial_assignments(profile, device_map, cost_model)
         if self.config.allow_recompute:
@@ -215,7 +210,6 @@ class Planner:
         report.final_peaks = chosen.device_peaks
         self.accepted = chosen
         report.n_emulations = emulator.n_emulations
-        report.n_full_sims = emulator.n_emulations
         return plan, report
 
     # -- device mapping ---------------------------------------------------
@@ -275,18 +269,18 @@ class Planner:
             for stage, peak in enumerate(profile.stage_peaks)
         ]
 
-    def _reserved_spare(self, peaks_by_stage: List[int]) -> List[int]:
-        """Importable bytes per stage.
+    def _reserved_spare(self, peaks: List[int]) -> List[int]:
+        """Importable bytes per entry of ``peaks``.
 
         Importers may fill closer to capacity than exporters' planning
         target — their own footprint is small and predictable — so
         spare is measured against a higher import cap.
         """
-        reserve = self.config.spare_reserve
-        import_cap = int(self._capacity * (1.0 - self.config.fit_margin / 2))
+        reserve = self._SPARE_RESERVE
+        import_cap = int(self._capacity * (1.0 - self._FIT_MARGIN / 2))
         return [
             max(0, int((import_cap - peak) * (1.0 - reserve)))
-            for peak in peaks_by_stage
+            for peak in peaks
         ]
 
     # -- initial assignment ------------------------------------------------
@@ -634,12 +628,7 @@ class Planner:
         budget cannot starve anyone retroactively — each tighten or
         refine round re-measures.
         """
-        reserve = self.config.spare_reserve
-        import_cap = int(self._capacity * (1.0 - self.config.fit_margin / 2))
-        return {
-            dev: max(0, int((import_cap - peak) * (1.0 - reserve)))
-            for dev, peak in enumerate(device_peaks)
-        }
+        return dict(enumerate(self._reserved_spare(device_peaks)))
 
     def _claim_d2d(
         self,
@@ -778,10 +767,9 @@ class Planner:
 
         Returns the chosen plan with its assignments and emulation.
         """
-        config = self.config
         blacklist: set = set()
         classes_by_key = {cls.key: cls for cls in profile.classes}
-        for _ in range(config.max_refine_iterations):
+        for _ in range(self._MAX_REFINE_ITERATIONS):
             report.refine_iterations += 1
             candidates = self._refine_candidates(
                 assignments, classes_by_key, cost_model, blacklist
@@ -789,19 +777,9 @@ class Planner:
             if not candidates:
                 break
             budgets = self._global_headroom(current.device_peaks)
-            if config.search == "coarse2fine":
-                candidates = self._coarse_frontier(
-                    candidates, classes_by_key, cost_model, budgets,
-                    blacklist, report,
-                )
-                if not candidates:
-                    # The analytic model predicts no profitable
-                    # upgrade this round — the whole batch's lowering
-                    # and simulation is skipped.
-                    continue
             tentative = dict(assignments)
             upgraded: List[tuple] = []
-            for key, _extra in candidates[: config.refine_batch]:
+            for key, _extra in candidates[: self._REFINE_BATCH]:
                 cls = classes_by_key[key]
                 stripe = self._claim_d2d(cls, cost_model, budgets)
                 if stripe is not None:
@@ -815,7 +793,7 @@ class Planner:
             trial = emulator.run(new_plan)
             report.emulation_times.append(trial.minibatch_time)
             improved = trial.minibatch_time < current.minibatch_time * (
-                1.0 - config.improvement_eps)
+                1.0 - self._IMPROVEMENT_EPS)
             fits_ok = trial.fits or not current.fits
             if improved and fits_ok:
                 assignments = tentative
@@ -825,42 +803,6 @@ class Planner:
             else:
                 blacklist.update(upgraded)
         return plan, assignments, current
-
-    def _coarse_frontier(
-        self,
-        candidates: List[Tuple[tuple, float]],
-        classes_by_key: Dict[tuple, TensorClass],
-        cost_model: CostModel,
-        budgets: Dict[int, int],
-        blacklist: set,
-        report: PlannerReport,
-    ) -> List[Tuple[tuple, float]]:
-        """Coarse pass of the coarse-to-fine search (docs/fastpath.md).
-
-        A wide pool of upgrade candidates is *priced* with the
-        analytic collective/cost model — predicted gain is the
-        candidate's current overhead minus its D2D overhead on a
-        tentative stripe — and only the profitable frontier survives
-        to be lowered and simulated.  Claims here run against a copy
-        of the importer budgets; the fine pass re-claims for real.
-        """
-        pool = candidates[: self.config.refine_batch * 4]
-        priced: List[Tuple[float, tuple, float]] = []
-        for key, extra in pool:
-            cls = classes_by_key[key]
-            report.n_fast_path += 1
-            stripe = self._claim_d2d(cls, cost_model, dict(budgets))
-            if stripe is None:
-                blacklist.add(key)
-                continue
-            d2d_extra = cost_model.costs_for(cls, stripe).d2d_swap_extra or 0.0
-            gain = extra - d2d_extra
-            if gain <= 0:
-                blacklist.add(key)
-                continue
-            priced.append((gain, key, extra))
-        priced.sort(key=lambda entry: -entry[0])
-        return [(key, extra) for _gain, key, extra in priced]
 
     def _refine_candidates(
         self,

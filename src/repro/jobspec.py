@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
@@ -74,6 +75,41 @@ _SERVING = {
 }
 
 
+# Typed readers for spec values.  A spec arrives as parsed JSON (from a
+# file or an HTTP body), so a wrong type is the client's error: each
+# reader raises a ConfigurationError naming the key instead of letting
+# a bare int()/float() escape as ValueError or TypeError.
+
+def _integer(key: str, value) -> int:
+    """``value`` if it is a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value):
+    """``value`` if it is a finite JSON number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigurationError(
+            f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _flag(key: str, value) -> bool:
+    """``value`` if it is a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _name(key: str, value) -> str:
+    """``value`` if it is a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def parse_model(spec: str):
     """'bert-0.64' / 'gpt-10.3' -> a model variant."""
     try:
@@ -109,12 +145,12 @@ def build_cluster(server: str, nodes: int, fabric: str):
     from repro.hardware.cluster import make_cluster
     from repro.hardware.links import FABRICS
 
-    nodes = int(nodes or 1)
-    link = FABRICS.get(fabric)
+    nodes = _integer("nodes", nodes or 1)
+    link = FABRICS.get(_name("fabric", fabric))
     if link is None:
         raise ConfigurationError(
             f"unknown fabric {fabric!r}; options: {sorted(FABRICS)}")
-    if server not in SERVERS:
+    if _name("server", server) not in SERVERS:
         raise ConfigurationError(
             f"unknown server {server!r}; options: {sorted(SERVERS)}")
     return make_cluster(SERVERS[server], nodes, name=f"{nodes}x-{server}",
@@ -131,18 +167,20 @@ def job_from_spec(spec: Dict) -> TrainingJob:
         if key not in spec:
             raise ConfigurationError(f"job spec missing required key {key!r}")
 
-    model = parse_model(spec["model"])
-    server = build_server(spec["server"])
+    model = parse_model(_name("model", spec["model"]))
+    server = build_server(_name("server", spec["server"]))
     pipeline = spec.get("pipeline") or default_pipeline(spec["model"])
-    builder = PIPELINES.get(pipeline)
+    builder = PIPELINES.get(_name("pipeline", pipeline))
     if builder is None:
         raise ConfigurationError(f"unknown pipeline {pipeline!r}")
 
     kwargs = {}
     for key in ("microbatch_size", "microbatches_per_minibatch",
-                "n_minibatches", "mfu"):
+                "n_minibatches"):
         if spec.get(key) is not None:
-            kwargs[key] = spec[key]
+            kwargs[key] = _integer(key, spec[key])
+    if spec.get("mfu") is not None:
+        kwargs["mfu"] = _number("mfu", spec["mfu"])
     return builder(model, server, **kwargs)
 
 
@@ -164,11 +202,7 @@ def _explicit_degrees(spec: Dict, keys=("nodes", "tp", "dp", "pp")
     explicit = []
     for key in keys:
         default = _CLUSTER[key]
-        try:
-            value = int(spec.get(key, default) or default)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"{key} must be an integer, got {spec[key]!r}")
+        value = _integer(key, spec.get(key, default) or default)
         if value != default:
             explicit.append(key)
     return explicit
@@ -195,10 +229,11 @@ def cluster_config_from_spec(spec: Dict):
     from repro.parallel.cluster import ClusterConfig
 
     return ClusterConfig(
-        tp=int(spec.get("tp", 1)),
-        dp=int(spec.get("dp", 1)),
-        pp=int(spec.get("pp", 0)),
-        sequence_parallel=bool(spec.get("sequence_parallel", False)),
+        tp=_integer("tp", spec.get("tp", 1)),
+        dp=_integer("dp", spec.get("dp", 1)),
+        pp=_integer("pp", spec.get("pp", 0)),
+        sequence_parallel=_flag("sequence_parallel",
+                                spec.get("sequence_parallel", False)),
     )
 
 
@@ -226,8 +261,10 @@ def autoplan_config_from_spec(spec: Dict):
 
     budget = spec.get("budget_gib")
     return AutoPlanConfig(
-        budget_gib=float(budget) if budget is not None else None,
-        sequence_parallel=bool(spec.get("sequence_parallel", False)),
+        budget_gib=(float(_number("budget_gib", budget))
+                    if budget is not None else None),
+        sequence_parallel=_flag("sequence_parallel",
+                                spec.get("sequence_parallel", False)),
     )
 
 
@@ -271,9 +308,12 @@ def inference_config_from_spec(spec: Dict):
         raise ConfigurationError(
             f"unknown inference keys: {sorted(unknown)}")
     params = dict(params)
-    if params.get("trace") is not None:
-        params["trace"] = tuple(tuple(entry) for entry in params["trace"])
-    return InferenceConfig(**params)
+    try:
+        if params.get("trace") is not None:
+            params["trace"] = tuple(tuple(entry) for entry in params["trace"])
+        return InferenceConfig(**params)
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(f"invalid inference settings ({error})")
 
 
 _TASK = {
@@ -305,6 +345,8 @@ def task_from_spec(spec: Dict) -> "SimTask":
     spec = dict(spec)
     task_keys = {key: spec.pop(key, default)
                  for key, default in _TASK.items()}
+    if task_keys["label"] is not None:
+        _name("label", task_keys["label"])
     job = job_from_spec(spec)
     inference = inference_config_from_spec(spec)
     if inference is not None:
@@ -336,17 +378,20 @@ def task_from_spec(spec: Dict) -> "SimTask":
             if cluster is not None else None
     system = task_keys["system"]
     faults = None
-    if task_keys["faults_seed"] is not None:
+    seed = task_keys["faults_seed"]
+    if seed is not None:
+        seed = _integer("faults_seed", seed)
         faults = random_schedule(
-            seed=int(task_keys["faults_seed"]),
+            seed=seed,
             n_devices=job.server.n_gpus,
-            horizon=float(task_keys["faults_horizon"]),
+            horizon=float(_number("faults_horizon",
+                                  task_keys["faults_horizon"])),
         )
     hybrid = None
     if task_keys["hybrid_dp"] is not None:
         from repro.parallel.hybrid import HybridConfig
 
-        hybrid = HybridConfig(dp=int(task_keys["hybrid_dp"]))
+        hybrid = HybridConfig(dp=_integer("hybrid_dp", task_keys["hybrid_dp"]))
     label = task_keys["label"]
     if label is None:
         label = f"{spec['model']}/{spec['server']}/{system}"
@@ -357,8 +402,8 @@ def task_from_spec(spec: Dict) -> "SimTask":
                       f"pp={cluster_config.pp}")
         if hybrid is not None:
             label += f"/dp={hybrid.dp}"
-        if task_keys["faults_seed"] is not None:
-            label += f"/faults={int(task_keys['faults_seed'])}"
+        if seed is not None:
+            label += f"/faults={seed}"
     return SimTask(label=label, job=job, system=system, faults=faults,
                    hybrid=hybrid, cluster=cluster,
                    cluster_config=cluster_config, autoplan=autoplan)

@@ -442,7 +442,7 @@ def _kind_of(task: SimTask) -> _Kind:
     order; the chosen row then checks the task in full.
     """
     if not any(task.system in kind.systems for kind in _KINDS):
-        known = sorted(system for kind in _KINDS for system in kind.systems)
+        known = sorted({system for kind in _KINDS for system in kind.systems})
         raise ConfigurationError(
             f"unknown sweep system {task.system!r}; options: {known}")
     return max(_KINDS, key=lambda kind: (

@@ -77,6 +77,8 @@ def parse_submit(payload: Dict) -> SubmitRequest:
     if preset is not None:
         from repro.runtime.presets import preset_tasks
 
+        if not isinstance(preset, str):
+            raise ConfigurationError("preset must be a string")
         tasks = preset_tasks(preset)
     else:
         if not isinstance(specs, list) or not specs:

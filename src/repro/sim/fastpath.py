@@ -39,9 +39,11 @@ forces the reference :class:`~repro.sim.interpreter.Interpreter`;
 dispatch so tests can assert which path fired.
 
 The interpreter can also snapshot its complete machine state every few
-hundred completions for :mod:`repro.sim.incremental`.  No production
-path takes snapshots: the planner's emulator replays every candidate
-program in full through :func:`run_program`.
+hundred completions for :mod:`repro.sim.incremental`, whose only
+caller outside the tests is the benchmark's traced mode.  No
+production path takes snapshots: the planner's emulator replays every
+candidate program in full through :func:`run_program`, and nothing
+cheaper stands in for that replay.
 """
 
 from __future__ import annotations

@@ -421,6 +421,14 @@ class TestPlanJson:
         assert len(payload["per_gpu_peak_gib"]) == 8
         # BERT-0.35 fits without D2D demand, so no mapping search ran.
         assert payload["mapping"] is None
+        assert payload["n_emulations"] >= 1
+        assert "search" not in payload
+
+    def test_search_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "--model", "bert-0.35", "--search", "emulate"])
+        assert info.value.code == 2
+        assert "--search" in capsys.readouterr().err
 
     def test_plan_json_reports_mapping_search(self, capsys):
         code = main(["plan", "--model", "bert-0.64", "--json"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.mpress import MPress, run_system
-from repro.core.planner import PlannerConfig
+from repro.core.planner import Planner, PlannerConfig
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
 from repro.runtime.task import trace_digest
 from repro.sim.executor import simulate
@@ -62,7 +62,7 @@ def _fingerprint(result) -> tuple:
 
 def _strict_replay(mpress: MPress, result):
     return simulate(mpress.job, result.plan, strict=True,
-                    prefetch_lead=mpress.config.prefetch_lead)
+                    prefetch_lead=Planner.PREFETCH_LEAD)
 
 
 class TestStrictRunReuse:

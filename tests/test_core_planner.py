@@ -8,6 +8,7 @@ from repro.core.plan import Action
 from repro.core.planner import Planner, PlannerConfig, baseline_config
 from repro.graph.tensor import TensorKind
 from repro.sim.executor import simulate
+from repro.sim.lowering import skeleton_build_count
 from repro.units import MiB
 
 from tests.conftest import small_server, tiny_job, tiny_model
@@ -54,6 +55,20 @@ class TestFullPlanner:
         plan, report = Planner(job, PlannerConfig()).build()
         assert report.emulation_times[-1] != report.final_time
         assert report.final_time == Emulator(job).run(plan).minibatch_time
+
+    def test_build_shares_one_lowering_skeleton(self):
+        job = tiny_job(server=small_server(gpu_memory=64 * MiB),
+                       model=tiny_model(n_layers=12, hidden=512),
+                       microbatches_per_minibatch=6)
+        before = skeleton_build_count()
+        _, report = Planner(job, PlannerConfig()).build()
+        # Exactly two builds, independent of candidate count: the
+        # profiler's instrumented baseline and the emulator's shared
+        # skeleton.  Every tighten round and refine trial reuses the
+        # latter.
+        assert report.n_emulations > 2
+        assert skeleton_build_count() == before + 2
+        assert report.feasible
 
     def test_only_overflowing_stages_touched(self):
         job = _pressured_job()

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mpress import MPress
-from repro.core.planner import baseline_config
+from repro.core.planner import Planner, PlannerConfig, baseline_config
 from repro.runtime.task import SimTask, execute_task, trace_digest
 from repro.sim.fastpath import (
     fast_path_runs,
@@ -76,7 +76,7 @@ def _golden_program(name: str):
     else:
         mpress = MPress(task.job, baseline_config(system), faults=task.faults)
         plan = mpress.build_plan()
-        prefetch_lead = mpress.config.prefetch_lead
+        prefetch_lead = Planner.PREFETCH_LEAD
     options = ExecOptions(strict=True, prefetch_lead=prefetch_lead,
                           faults=task.faults)
     return Lowering(task.job, options).lower(plan)
@@ -135,10 +135,16 @@ def test_cache_keys_are_execution_strategy_free():
     """Fast-path results share cache entries with full simulations:
     nothing about *how* a task is simulated reaches its cache key."""
     job = tiny_job()
-    task = SimTask(label="a", job=job, system="recomputation")
-    payload = json.dumps(task.key_payload(), sort_keys=True, default=str)
-    for leak in ("fast", "interpreter", "record_trace", "search"):
-        assert leak not in payload
+    tasks = (
+        SimTask(label="a", job=job, system="recomputation"),
+        # An explicit planner config is hashed field by field.
+        SimTask(label="b", job=job, system="mpress",
+                config=PlannerConfig(mapping_mode="auto", striping=True)),
+    )
+    for task in tasks:
+        payload = json.dumps(task.key_payload(), sort_keys=True, default=str)
+        for leak in ("fast", "interpreter", "record_trace", "search"):
+            assert leak not in payload
 
 
 # -- property: random plans ---------------------------------------------------

@@ -205,3 +205,56 @@ class TestTrainingTaskSpecs:
         assert task_from_spec(spec).kind == "zero"
         with pytest.raises(ConfigurationError, match="faults"):
             task_from_spec(dict(spec, faults_seed=3))
+
+
+class TestMistypedSpecValues:
+    """Spec values arrive as client JSON: a wrong type is a
+    ConfigurationError naming the key, never a bare ValueError or
+    TypeError (which ``repro serve`` would not answer)."""
+
+    BERT = {"model": "bert-0.35", "server": "dgx1"}
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"faults_seed": "two"}, "faults_seed"),
+        ({"faults_seed": True}, "faults_seed"),
+        ({"faults_seed": 1.5}, "faults_seed"),
+        ({"faults_seed": 1, "faults_horizon": None}, "faults_horizon"),
+        ({"faults_seed": 1, "faults_horizon": float("inf")},
+         "faults_horizon"),
+        ({"hybrid_dp": "x"}, "hybrid_dp"),
+        ({"nodes": 2, "shape": "auto", "budget_gib": "lots"}, "budget_gib"),
+        ({"tp": 2, "sequence_parallel": "false"}, "sequence_parallel"),
+        ({"nodes": 2, "shape": "auto", "sequence_parallel": 1},
+         "sequence_parallel"),
+        ({"tp": None, "dp": 2}, "tp"),
+        ({"microbatch_size": "x"}, "microbatch_size"),
+        ({"mfu": "x"}, "mfu"),
+        ({"model": 5}, "model"),
+        ({"server": []}, "server"),
+        ({"pipeline": [1]}, "pipeline"),
+        ({"nodes": 2, "fabric": []}, "fabric"),
+        ({"label": 5}, "label"),
+    ])
+    def test_rejected_with_the_key_named(self, extra, key):
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match=key):
+            task_from_spec(dict(self.BERT, **extra))
+
+    def test_mistyped_inference_settings_rejected(self):
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match="inference settings"):
+            task_from_spec({"model": "gpt-5.3", "server": "dgx1",
+                            "workload": "inference",
+                            "inference": {"n_requests": "x"}})
+
+    def test_service_benchmark_deck_accepted(self):
+        """Every spec the sweep-service benchmark POSTs still parses."""
+        from perfbench import inputs
+        from repro.jobspec import task_from_spec
+
+        specs = inputs.warmup_specs() + [
+            spec for jobs in inputs.service_mix(1) for spec in jobs]
+        for spec in specs:
+            task_from_spec(spec)

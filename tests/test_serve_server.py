@@ -100,6 +100,11 @@ class TestParseSubmit:
         with pytest.raises(ConfigurationError):
             parse_submit({"tasks": []})
 
+    @pytest.mark.parametrize("preset", [[], {"fig7": 1}])
+    def test_rejects_non_string_preset(self, preset):
+        with pytest.raises(ConfigurationError, match="preset"):
+            parse_submit({"preset": preset})
+
 
 class TestTaskFromSpec:
     def test_plain_task(self):
@@ -180,6 +185,21 @@ class TestEndpoints:
             client.submit(tasks=[{"model": "bert-0.35"}])  # missing server
         assert info.value.status == 400
         assert "server" in str(info.value)
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"faults_seed": "two"}, "faults_seed"),
+        ({"faults_seed": 1, "faults_horizon": None}, "faults_horizon"),
+        ({"hybrid_dp": "x"}, "hybrid_dp"),
+        ({"nodes": 2, "shape": "auto", "budget_gib": "lots"}, "budget_gib"),
+    ])
+    def test_mistyped_spec_value_is_400_and_server_keeps_serving(
+            self, client, extra, key):
+        spec = {"model": "bert-0.35", "server": "dgx1", **extra}
+        with pytest.raises(ServeError) as info:
+            client.submit(tasks=[spec])
+        assert info.value.status == 400
+        assert key in str(info.value)
+        assert client.health()["ok"] is True
 
     def test_invalid_json_body_is_400(self, client):
         import urllib.error

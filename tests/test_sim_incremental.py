@@ -2,9 +2,8 @@
 
 Property coverage for :mod:`repro.sim.incremental`: splicing a
 changed suffix onto a reused prefix is indistinguishable from a full
-lowering, diffs classify taint conservatively, snapshot resume is
-bit-identical to a fresh run, and the planner's coarse-to-fine
-search never rebuilds the lowering skeleton.
+lowering, diffs classify taint conservatively, and snapshot resume
+is bit-identical to a fresh run.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mpress import MPress
-from repro.core.planner import Planner, PlannerConfig
 from repro.sim.incremental import (
     IncrementalSimulator,
     diff_programs,
@@ -24,7 +22,7 @@ from repro.sim.incremental import (
 )
 from repro.sim.interpreter import Interpreter
 from repro.sim.ir import ExecOptions
-from repro.sim.lowering import Lowering, skeleton_build_count
+from repro.sim.lowering import Lowering
 from tests.conftest import small_server, tiny_job, tiny_model
 from tests.test_fastpath_equivalence import result_fingerprint
 
@@ -155,39 +153,3 @@ class TestResume:
         assert sim.n_resumed == 0
         assert result_fingerprint(result) == \
             result_fingerprint(Interpreter(program).run())
-
-
-class TestPlannerIntegration:
-    def test_coarse2fine_builds_skeleton_once(self):
-        """A whole coarse-to-fine search — tighten rounds, frontier
-        pricing, refine trials — shares one lowering skeleton."""
-        job = tiny_job(server=small_server(gpu_memory=64 * MiB),
-                       model=tiny_model(n_layers=12, hidden=512),
-                       microbatches_per_minibatch=6)
-        before = skeleton_build_count()
-        plan, report = Planner(job, PlannerConfig(search="coarse2fine")).build()
-        # Exactly two builds, independent of candidate count: the
-        # profiler's instrumented baseline and the emulator's shared
-        # skeleton.  Every tighten round, frontier pricing, and refine
-        # trial reuses the latter.
-        assert skeleton_build_count() == before + 2
-        assert report.feasible
-        assert report.n_fast_path > 0
-        assert report.n_full_sims > 0
-
-    def test_coarse2fine_plan_quality_matches_emulate(self):
-        """Pricing the frontier analytically must not change the
-        feasibility verdict and keeps the plan in the same family."""
-        job = tiny_job(server=small_server(gpu_memory=64 * MiB),
-                       model=tiny_model(n_layers=12, hidden=512),
-                       microbatches_per_minibatch=6)
-        plan_e, report_e = Planner(job, PlannerConfig(search="emulate")).build()
-        plan_c, report_c = Planner(
-            job, PlannerConfig(search="coarse2fine")).build()
-        assert report_e.feasible == report_c.feasible
-        assert set(plan_c.entries) == set(plan_e.entries)
-        assert report_c.n_full_sims <= report_e.n_full_sims
-
-    def test_unknown_search_rejected(self):
-        with pytest.raises(ValueError):
-            Planner(tiny_job(), PlannerConfig(search="anneal"))
