@@ -210,6 +210,7 @@ def _cmd_plan(args) -> int:
                 "placed_fraction": mapping.placed_fraction,
                 "mappings_evaluated": mapping.mappings_evaluated,
                 "distinct_evaluations": mapping.distinct_evaluations,
+                "bound_pruned": mapping.bound_pruned,
             }
         if placement is not None:
             payload["shape"] = {

@@ -198,11 +198,18 @@ def load_job(path: str) -> TrainingJob:
 
 def _explicit_degrees(spec: Dict, keys=("nodes", "tp", "dp", "pp")
                       ) -> List[str]:
-    """The parallelism ``keys`` the spec sets away from their defaults."""
+    """The parallelism ``keys`` the spec sets away from their defaults.
+
+    Each degree is checked whether or not it is explicit: nodes, tp
+    and dp must be at least 1, and pp at least 0 (0 picks the depth).
+    """
     explicit = []
     for key in keys:
         default = _CLUSTER[key]
-        value = _integer(key, spec.get(key, default) or default)
+        value = _integer(key, spec.get(key, default))
+        least = 0 if key == "pp" else 1
+        if value < least:
+            raise ConfigurationError(f"{key} must be >= {least}, got {value}")
         if value != default:
             explicit.append(key)
     return explicit
@@ -218,7 +225,8 @@ def cluster_from_spec(spec: Dict, force: bool = False):
     cluster anyway; the autoplan path needs a real cluster even for a
     single box, since the shape search itself decides the degrees.
     """
-    if not force and not _explicit_degrees(spec):
+    explicit = _explicit_degrees(spec)   # checks every degree, forced or not
+    if not explicit and not force:
         return None
     return build_cluster(spec["server"], spec.get("nodes", 1),
                          spec.get("fabric", "ib-edr"))

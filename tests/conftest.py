@@ -63,6 +63,16 @@ def small_topology() -> Topology:
     return Topology(n_gpus=4, kind="direct", nvlink=NVLINK2, adjacency=adjacency)
 
 
+def dgx1_without_0_4() -> Topology:
+    """DGX-1 minus the (0, 4) NVLink: not vertex-transitive, so the
+    device-mapping search must try stage 0 on devices 0, 1 and 3."""
+    topo = dgx1_topology()
+    adjacency = {pair: count for pair, count in topo.adjacency.items()
+                 if pair != frozenset((0, 4))}
+    return Topology(n_gpus=8, kind="direct", nvlink=topo.nvlink,
+                    adjacency=adjacency)
+
+
 def small_server(gpu_memory: int = 2 * GiB) -> Server:
     gpu = GPUSpec(
         name="tiny-gpu",

@@ -437,6 +437,7 @@ class TestPlanJson:
         assert mapping["device_map"] == [0, 7, 5, 6, 2, 1, 4, 3]
         assert mapping["mappings_evaluated"] == 40320
         assert mapping["distinct_evaluations"] == 2340
+        assert mapping["bound_pruned"] == 2274
         assert mapping["score"] > 0
         assert 0.0 < mapping["placed_fraction"] <= 1.0
 

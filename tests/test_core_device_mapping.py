@@ -1,13 +1,25 @@
 """Device-mapping search tests (Figure 6)."""
 
+import json
+import os
+
 import pytest
 
-from repro.core.device_mapping import MappingResult, assign_spare_memory, search_device_mapping
+from repro.core.device_mapping import (
+    MappingResult,
+    _lane_matrix,
+    _orbit_minima,
+    assign_spare_memory,
+    search_device_mapping,
+)
 from repro.errors import MappingError
 from repro.hardware.topology import dgx1_topology, dgx2_topology
 from repro.units import GiB
 
-from tests.conftest import small_topology
+from tests.conftest import dgx1_without_0_4, small_topology
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
+                      "device_mapping_search.json")
 
 
 def _gib(values):
@@ -72,6 +84,7 @@ class TestSearch:
         assert result.score == pytest.approx(264066612548.33856, rel=1e-12)
         assert result.mappings_evaluated == 40320
         assert result.distinct_evaluations == 2340
+        assert result.bound_pruned == 2274
         best = assign_spare_memory(topo, tuple(result.device_map), overflow, spare)
         assert result.assignments == best.assignments
         assert result.placed_fraction == best.placed_fraction
@@ -99,13 +112,6 @@ class TestSearch:
         assert result.device_map[0] == 0
         assert result.mappings_evaluated == 5040
 
-    def test_max_mappings_caps_search(self):
-        topo = dgx1_topology()
-        overflow = _gib([5] + [0] * 7)
-        spare = _gib([0, 0, 0, 0, 2, 2, 2, 2])
-        result = search_device_mapping(topo, overflow, spare, mode="exact", max_mappings=100)
-        assert result.mappings_evaluated == 100
-
     def test_importer_budget_helper(self):
         result = MappingResult(
             device_map=[0, 1],
@@ -128,3 +134,61 @@ class TestSearch:
         spare = _gib([0, 1, 1, 2])
         result = search_device_mapping(topo, overflow, spare, mode="exact")
         assert sorted(result.device_map) == [0, 1, 2, 3]
+
+
+class TestSymmetry:
+    def test_dgx1_is_vertex_transitive(self):
+        assert _orbit_minima(_lane_matrix(dgx1_topology())) == [0]
+
+    def test_dropping_a_link_splits_the_orbits(self):
+        # Orbits: {0, 4} lose their double link, {3, 7} keep a double
+        # link to one of them, and {1, 2, 5, 6} are the rest.
+        assert _orbit_minima(_lane_matrix(dgx1_without_0_4())) == [0, 1, 3]
+
+    def test_exact_covers_the_full_space_off_device_zero(self):
+        # The first best mapping puts stage 0 on device 1: the search
+        # must enumerate beyond the device-0 anchor to find it.
+        overflow = [22974544030, 0, 11482392336, 0, 16795742203,
+                    13333368626, 14507294716, 4366891498]
+        spare = [291374722, 0, 22886071629, 0, 28640206749, 31505921496,
+                 0, 7300150019]
+        exact = search_device_mapping(dgx1_without_0_4(), overflow, spare,
+                                      mode="exact")
+        greedy = search_device_mapping(dgx1_without_0_4(), overflow, spare,
+                                       mode="greedy")
+        assert exact.mappings_evaluated == 40320
+        assert greedy.mappings_evaluated == 5040
+        assert exact.device_map == [1, 0, 2, 4, 6, 5, 7, 3]
+        assert exact.score > greedy.score
+
+
+def _golden_cases():
+    with open(GOLDEN) as handle:
+        return json.load(handle)["cases"]
+
+
+@pytest.mark.parametrize(
+    "case", _golden_cases(), ids=lambda c: f"{c['name']}-{c['mode']}")
+def test_search_matches_plain_enumeration_golden(case):
+    """Outcomes recorded from the plain enumeration the search replaced.
+
+    The golden was produced by walking every mapping in
+    ``itertools.permutations`` order (stage 0 on device 0 in greedy
+    mode), running the assignment for the first mapping of each
+    distinct lane sub-matrix and keeping the first strictly greater
+    score.  It shares no code with the symmetry, trie or bound.
+    """
+    topo = (dgx1_topology() if case["topology"] == "dgx1"
+            else dgx1_without_0_4())
+    result = search_device_mapping(topo, case["overflow"], case["spare"],
+                                   mode=case["mode"])
+    assert result.device_map == case["device_map"]
+    assert result.score.hex() == case["score"]
+    assert result.placed_fraction == case["placed_fraction"]
+    assert result.assignments == {
+        int(exporter): {int(imp): amount for imp, amount in alloc.items()}
+        for exporter, alloc in case["assignments"].items()
+    }
+    assert result.mappings_evaluated == case["mappings_evaluated"]
+    assert result.distinct_evaluations == case["distinct_evaluations"]
+    assert 0 <= result.bound_pruned < result.distinct_evaluations

@@ -190,6 +190,30 @@ class TestTrainingTaskSpecs:
         with pytest.raises(ConfigurationError, match="integer"):
             task_from_spec(dict(self.BERT, **{key: "two"}))
 
+    @pytest.mark.parametrize("extra,key", [
+        ({"nodes": 0}, "nodes"),
+        ({"nodes": -1}, "nodes"),
+        ({"tp": 0}, "tp"),
+        ({"tp": -2}, "tp"),
+        ({"dp": 0}, "dp"),
+        ({"dp": -1}, "dp"),
+        ({"pp": -1}, "pp"),
+        ({"tp": 0, "dp": 2}, "tp"),
+        ({"nodes": 0, "shape": "auto"}, "nodes"),
+        ({"dp": 0, "hybrid_dp": 2}, "dp"),
+    ])
+    def test_non_positive_degree_rejected(self, extra, key):
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match=f"^{key} must be >= "):
+            task_from_spec(dict(self.BERT, **extra))
+
+    def test_zero_pp_means_auto(self):
+        from repro.jobspec import cluster_from_spec, task_from_spec
+
+        assert cluster_from_spec(dict(self.BERT, pp=0)) is None
+        assert task_from_spec(dict(self.BERT, pp=0)).kind == "train"
+
     def test_hybrid_dp_with_explicit_dp_rejected(self):
         from repro.jobspec import task_from_spec
 

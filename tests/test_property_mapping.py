@@ -2,10 +2,12 @@
 
 import itertools
 
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro.core.device_mapping import _score, assign_spare_memory, search_device_mapping
 from repro.hardware.topology import dgx1_topology, dgx2_topology
+
+from tests.conftest import dgx1_without_0_4
 
 TOPO = dgx1_topology()
 
@@ -84,7 +86,7 @@ sparse_vectors = st.lists(
 )
 
 
-def _brute_force(overflow, spare, mode, max_mappings=None):
+def _brute_force(overflow, spare, mode, topology=TOPO):
     """Score every enumerated mapping; the first best one wins ties."""
     if mode == "exact":
         source = itertools.permutations(range(8))
@@ -92,9 +94,9 @@ def _brute_force(overflow, spare, mode, max_mappings=None):
         source = ((0,) + rest for rest in itertools.permutations(range(1, 8)))
     best = None
     count = 0
-    for device_map in itertools.islice(source, max_mappings):
+    for device_map in source:
         count += 1
-        evaluation = assign_spare_memory(TOPO, device_map, overflow, spare)
+        evaluation = assign_spare_memory(topology, device_map, overflow, spare)
         score = _score(evaluation)
         if best is None or score > best[1]:
             best = (list(device_map), score, evaluation.placed_fraction,
@@ -138,12 +140,39 @@ def test_greedy_search_matches_brute_force(overflow, spare):
     assert _outcome(result) == _brute_force(overflow, spare, "greedy")
 
 
+# Not vertex-transitive, so exact and greedy search may differ.
+TOPO_WITHOUT_0_4 = dgx1_without_0_4()
+
+
 @given(overflow=sparse_vectors, spare=sparse_vectors,
-       max_mappings=st.integers(min_value=1, max_value=1500),
        mode=st.sampled_from(["exact", "greedy"]))
-@settings(max_examples=10, deadline=None)
-def test_capped_search_matches_brute_force(overflow, spare, max_mappings, mode):
+@example(
+    overflow=[22974544030, 0, 11482392336, 0, 16795742203, 13333368626,
+              14507294716, 4366891498],
+    spare=[291374722, 0, 22886071629, 0, 28640206749, 31505921496, 0,
+           7300150019],
+    mode="exact",
+)
+@settings(max_examples=1, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_non_transitive_search_matches_brute_force(overflow, spare, mode):
     overflow, spare = _nonempty(overflow, spare)
-    result = search_device_mapping(TOPO, overflow, spare, mode=mode,
-                                   max_mappings=max_mappings)
-    assert _outcome(result) == _brute_force(overflow, spare, mode, max_mappings)
+    result = search_device_mapping(TOPO_WITHOUT_0_4, overflow, spare, mode=mode)
+    assert _outcome(result) == _brute_force(overflow, spare, mode,
+                                            TOPO_WITHOUT_0_4)
+
+
+@given(overflow=sparse_vectors, spare=sparse_vectors)
+@settings(max_examples=20, deadline=None)
+def test_exact_equals_greedy_on_dgx1(overflow, spare):
+    # DGX-1 is vertex-transitive: every device is the image of device
+    # 0 under a lane-preserving relabelling, so pinning stage 0 to
+    # device 0 loses nothing.
+    overflow, spare = _nonempty(overflow, spare)
+    exact = search_device_mapping(TOPO, overflow, spare, mode="exact")
+    greedy = search_device_mapping(TOPO, overflow, spare, mode="greedy")
+    assert (exact.mappings_evaluated, greedy.mappings_evaluated) == (40320, 5040)
+    fields = ("device_map", "score", "placed_fraction", "assignments",
+              "distinct_evaluations", "bound_pruned")
+    assert ([getattr(exact, f) for f in fields]
+            == [getattr(greedy, f) for f in fields])

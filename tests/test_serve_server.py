@@ -191,6 +191,7 @@ class TestEndpoints:
         ({"faults_seed": 1, "faults_horizon": None}, "faults_horizon"),
         ({"hybrid_dp": "x"}, "hybrid_dp"),
         ({"nodes": 2, "shape": "auto", "budget_gib": "lots"}, "budget_gib"),
+        ({"tp": 0}, "tp"),
     ])
     def test_mistyped_spec_value_is_400_and_server_keeps_serving(
             self, client, extra, key):
