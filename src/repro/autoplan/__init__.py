@@ -13,9 +13,10 @@ Three layers (docs/planner.md):
 3. :mod:`repro.autoplan.search` — simulate only the top-K frontier
    as content-addressed cluster tasks, and rank.
 
-``Planner`` (one chain), ``run_hybrid`` (DP x PP) and ``run_cluster``
-(TP x DP x PP) remain as thin single-shape facades over the same
-underlying layers.
+``Planner`` (one chain) and ``run_cluster`` (TP x DP x PP) remain as
+thin single-shape facades over the same underlying layers;
+``run_hybrid`` (DP x PP on one server) is ``run_cluster``'s tp=1
+corner with its own replica layout search.
 """
 
 from repro.autoplan.candidates import (

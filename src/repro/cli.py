@@ -45,6 +45,19 @@ def _require_single_node(args, command: str) -> None:
             f"or 'sweep --nodes {nodes}' for cluster runs")
 
 
+def _cluster_path(args, explicit: bool) -> bool:
+    """Whether ``plan``/``hybrid`` runs the cluster path.
+
+    More than one node, ``--tp > 1``, or an ``explicit`` degree flag
+    the single-server path has no use for (jobspec's rule) selects it.
+    """
+    if args.sp and args.tp < 2:
+        raise ConfigurationError(
+            "--sp shards a tensor-parallel group's activations; "
+            "it needs --tp > 1")
+    return explicit or (args.nodes or 1) > 1 or args.tp > 1
+
+
 def _build_job(args) -> TrainingJob:
     if getattr(args, "spec", None):
         return load_job(args.spec)
@@ -172,7 +185,7 @@ def _cmd_plan(args) -> int:
     job = _build_job(args)
     placement = None
     cluster = None
-    if (getattr(args, "nodes", 1) or 1) > 1 or args.tp > 1:
+    if _cluster_path(args, explicit=args.dp != 1 or args.pp != 0):
         from repro.parallel.cluster import ClusterConfig, plan_chain_job
 
         cluster = build_cluster(args.server, args.nodes, args.fabric)
@@ -279,55 +292,44 @@ def _cmd_zero(args) -> int:
     return 0
 
 
-def _print_sync_and_peaks(result) -> None:
-    """The gradient-sync table and per-GPU peaks of a hybrid or
-    cluster result."""
+def _cmd_hybrid(args) -> int:
+    """DP x PP on one server, or TP x DP x PP on the cluster path."""
     from repro.analysis.reporting import format_table
-
-    if result.stage_allreduce:
-        rows = [
-            [
-                str(sync.stage),
-                ",".join(str(d) for d in sync.devices),
-                sync.algorithm,
-                fmt_bytes(sync.grad_bytes),
-                str(sync.n_buckets),
-                f"{sync.allreduce_seconds * 1e3:.3f}",
-                f"{sync.exposed_seconds * 1e3:.3f}",
-            ]
-            for sync in result.stage_allreduce
-        ]
-        print(format_table(
-            ["stage", "devices", "algorithm", "grads", "buckets",
-             "all-reduce ms", "exposed ms"],
-            rows, title="gradient synchronisation"))
-    peaks = result.peak_memory_per_gpu()
-    print(f"  per-GPU peaks: {' '.join(fmt_bytes(p) for p in peaks)}")
-
-
-def _cmd_hybrid_cluster(args) -> int:
-    """3D path: TP x DP x PP over a (possibly single-server) cluster."""
-    from repro.analysis.reporting import format_table
-    from repro.parallel import ClusterConfig, run_cluster
+    from repro.parallel import (
+        ClusterConfig,
+        HybridConfig,
+        run_cluster,
+        run_hybrid,
+    )
     from repro.units import MiB
 
+    cluster_path = _cluster_path(args, explicit=args.pp != 0)
+    if cluster_path and args.placement != "auto":
+        raise ConfigurationError(
+            "--placement lays replicas out on one server; with "
+            "--nodes/--tp/--pp use --cluster-placement")
+    if not cluster_path and args.cluster_placement != "auto":
+        raise ConfigurationError(
+            "--cluster-placement applies with --nodes/--tp/--pp; on one "
+            "server use --placement")
     job = _build_job(args)
-    cluster = build_cluster(args.server, args.nodes, args.fabric)
-    config = ClusterConfig(
-        tp=args.tp,
-        dp=args.dp,
-        pp=args.pp,
-        sequence_parallel=args.sp,
-        algorithm=args.algorithm,
-        bucket_bytes=int(args.bucket_mib * MiB),
-        overlap=not args.no_overlap,
-        collective_mode=args.collective,
-        placement_mode=args.cluster_placement,
-    )
-    result = run_cluster(job, cluster, config, system=args.system)
+    sync = dict(algorithm=args.algorithm,
+                bucket_bytes=int(args.bucket_mib * MiB),
+                overlap=not args.no_overlap,
+                collective_mode=args.collective)
+    if cluster_path:
+        cluster = build_cluster(args.server, args.nodes, args.fabric)
+        config = ClusterConfig(tp=args.tp, dp=args.dp, pp=args.pp,
+                               sequence_parallel=args.sp,
+                               placement_mode=args.cluster_placement, **sync)
+        result = run_cluster(job, cluster, config, system=args.system)
+    else:
+        config = HybridConfig(dp=args.dp, placement_mode=args.placement,
+                              **sync)
+        result = run_hybrid(job, config, system=args.system)
     status = "ok" if result.ok else "OUT OF MEMORY"
     print(f"{job.model.config.name} / tp={result.tp} dp={result.dp} "
-          f"pp={result.pp} {args.system} on {cluster.name}: {status}")
+          f"pp={result.pp} {args.system} on {result.cluster.name}: {status}")
     chains = " | ".join(
         ";".join(",".join(str(d) for d in chain) for chain in replica)
         for replica in result.placement.chains)
@@ -352,43 +354,25 @@ def _cmd_hybrid_cluster(args) -> int:
         print(format_table(
             ["stage", "groups", "microbatch ms", "minibatch ms"],
             rows, title="tensor-parallel collectives"))
-    _print_sync_and_peaks(result)
-    return 0
-
-
-def _cmd_hybrid(args) -> int:
-    from repro.parallel import HybridConfig, run_hybrid
-    from repro.units import MiB
-
-    if (getattr(args, "nodes", 1) or 1) > 1 or args.tp > 1:
-        return _cmd_hybrid_cluster(args)
-    job = _build_job(args)
-    config = HybridConfig(
-        dp=args.dp,
-        algorithm=args.algorithm,
-        bucket_bytes=int(args.bucket_mib * MiB),
-        overlap=not args.no_overlap,
-        collective_mode=args.collective,
-        placement_mode=args.placement,
-    )
-    result = run_hybrid(job, config, system=args.system)
-    status = "ok" if result.ok else "OUT OF MEMORY"
-    print(f"{job.model.config.name} / dp={config.dp} x "
-          f"{result.placement.stages_per_replica}-stage {args.system} "
-          f"on {job.server.name}: {status}")
-    groups = " | ".join(
-        ",".join(str(d) for d in group) for group in result.placement.groups)
-    print(f"  placement ({result.placement.mode}): {groups}")
-    if not result.ok:
-        print(f"  {result.oom}")
-        return 1
-    print(f"  throughput: {result.tflops:.1f} TFLOPS "
-          f"({result.samples_per_second:.1f} samples/s, "
-          f"{result.dp} x {job.samples_per_minibatch} samples/minibatch)")
-    print(f"  minibatch: {result.minibatch_time * 1e3:.2f} ms "
-          f"(replica {result.replica_minibatch_time * 1e3:.2f} ms + "
-          f"exposed all-reduce {result.exposed_allreduce * 1e3:.2f} ms)")
-    _print_sync_and_peaks(result)
+    if result.stage_allreduce:
+        rows = [
+            [
+                str(sync.stage),
+                ",".join(str(d) for d in sync.devices),
+                sync.algorithm,
+                fmt_bytes(sync.grad_bytes),
+                str(sync.n_buckets),
+                f"{sync.allreduce_seconds * 1e3:.3f}",
+                f"{sync.exposed_seconds * 1e3:.3f}",
+            ]
+            for sync in result.stage_allreduce
+        ]
+        print(format_table(
+            ["stage", "devices", "algorithm", "grads", "buckets",
+             "all-reduce ms", "exposed ms"],
+            rows, title="gradient synchronisation"))
+    peaks = result.peak_memory_per_gpu()
+    print(f"  per-GPU peaks: {' '.join(fmt_bytes(p) for p in peaks)}")
     return 0
 
 

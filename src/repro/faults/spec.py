@@ -177,14 +177,6 @@ class FaultSchedule:
                 factor *= fault.factor
         return factor
 
-    def nvme_factor(self) -> float:
-        """Worst-case NVMe bandwidth factor."""
-        factor = 1.0
-        for fault in self.faults:
-            if fault.kind is FaultKind.NVME_STALL:
-                factor *= fault.factor
-        return factor
-
     def degraded_devices(self) -> Set[int]:
         """Devices any fault touches (slow, failed, or on a bad link).
 

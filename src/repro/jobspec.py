@@ -398,8 +398,14 @@ def task_from_spec(spec: Dict) -> "SimTask":
     hybrid = None
     if task_keys["hybrid_dp"] is not None:
         from repro.parallel.hybrid import HybridConfig
+        from repro.parallel.placement import replica_size
 
-        hybrid = HybridConfig(dp=_integer("hybrid_dp", task_keys["hybrid_dp"]))
+        dp = _integer("hybrid_dp", task_keys["hybrid_dp"])
+        try:
+            replica_size(job.server.n_gpus, dp)
+        except ConfigurationError as error:
+            raise ConfigurationError(f"hybrid_dp: {error}") from None
+        hybrid = HybridConfig(dp=dp)
     label = task_keys["label"]
     if label is None:
         label = f"{spec['model']}/{spec['server']}/{system}"

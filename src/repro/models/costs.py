@@ -206,14 +206,6 @@ def tp_allreduce_bytes(hidden: int, seq: int, microbatch: int,
     return layer_boundary_bytes(hidden, seq, microbatch, bytes_per_element)
 
 
-def tp_layer_comm_bytes(kind: str, hidden: int, seq: int, microbatch: int,
-                        bytes_per_element: int = 2) -> int:
-    """Logical bytes all-reduced by one layer over fwd+bwd, one microbatch."""
-    per_direction = tp_allreduce_count(kind)
-    payload = tp_allreduce_bytes(hidden, seq, microbatch, bytes_per_element)
-    return 2 * per_direction * payload
-
-
 def _check_positive(**named_values: float) -> None:
     for name, value in named_values.items():
         if value <= 0:

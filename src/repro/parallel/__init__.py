@@ -1,12 +1,13 @@
 """Intra- and inter-server parallelism beyond the pipeline.
 
-Replica placement over the topology, per-replica sub-servers, DDP
-gradient bucketing with backward overlap, the ``run_hybrid`` entry
-point that composes replicas (each a full memory-managed pipeline)
-with topology-aware all-reduce from :mod:`repro.collectives`, and —
-one level up — Megatron-style tensor parallelism plus the
-``run_cluster`` TP x DP x PP composition over a multi-server
-:class:`~repro.hardware.cluster.Cluster`.
+Megatron-style tensor parallelism, DDP gradient bucketing with
+backward overlap, and one execution path for the TP x DP x PP cube:
+a :class:`ClusterPlacement` (``cluster_placement`` over a multi-server
+:class:`~repro.hardware.cluster.Cluster`, or ``replica_placement``'s
+tp=1 layout of one server) handed to ``run_placed``, which runs every
+pipeline chain through the memory-managed system facade and layers
+both synchronisation planes on top.  ``run_cluster`` and
+``run_hybrid`` are those two placements followed by ``run_placed``.
 """
 
 from repro.parallel.bucketing import (
@@ -14,10 +15,9 @@ from repro.parallel.bucketing import (
     exposed_allreduce_time,
     gradient_buckets,
 )
-from repro.parallel.hybrid import HybridConfig, HybridResult, run_hybrid
+from repro.parallel.hybrid import HybridConfig, run_hybrid
 from repro.parallel.placement import (
     PLACEMENT_MODES,
-    ReplicaPlacement,
     replica_placement,
     sub_server,
 )
@@ -39,6 +39,7 @@ from repro.parallel.cluster import (
     chain_server,
     cluster_placement,
     run_cluster,
+    run_placed,
     shared_chain_memo,
 )
 
@@ -48,11 +49,9 @@ __all__ = [
     "gradient_buckets",
     "COLLECTIVE_MODES",
     "HybridConfig",
-    "HybridResult",
     "StageAllReduce",
     "run_hybrid",
     "PLACEMENT_MODES",
-    "ReplicaPlacement",
     "replica_placement",
     "sub_server",
     "TPLayerSpec",
@@ -70,5 +69,6 @@ __all__ = [
     "chain_server",
     "cluster_placement",
     "run_cluster",
+    "run_placed",
     "shared_chain_memo",
 ]

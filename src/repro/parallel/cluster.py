@@ -5,8 +5,8 @@ replica is a *block* of ``tp x pp`` GPUs: ``tp`` tensor-parallel
 pipeline chains of ``pp`` stages each.  Every chain runs the full
 memory-managed pipeline (through the existing system facade) over a
 TP-sharded model (:mod:`repro.parallel.tensor`); the two
-synchronisation planes are layered on analytically, exactly like
-PR 4's hybrid DP layer:
+synchronisation planes (:mod:`repro.parallel.sync`) are layered on
+analytically:
 
 * **TP sync** — per-layer partial-sum all-reduces inside each stage's
   TP group, every microbatch, both directions.  These inflate the
@@ -15,7 +15,7 @@ PR 4's hybrid DP layer:
   behind the bottleneck's).
 * **DP sync** — per-stage gradient buckets all-reduce across replicas
   (one group per (tp-rank, stage) shard), overlapping with the
-  backward drain as in :mod:`repro.parallel.hybrid`.
+  backward drain.
 
 Placement is TP-inner / DP-outer against the tier hierarchy: chains
 never straddle a server (cross-server stage traffic would contend on
@@ -23,6 +23,11 @@ the thin fabric every microbatch), TP groups sit on the tightest
 lanes available, and whether DP replicas pack into one box or spread
 across the fabric is decided by scoring both layouts with the
 analytic collective model.
+
+``run_cluster`` is :func:`cluster_placement` followed by
+:func:`run_placed`.  Single-server DP x PP
+(:func:`repro.parallel.hybrid.run_hybrid`) is the tp=1, one-server
+corner: its own layout policy, then the same :func:`run_placed`.
 """
 
 from __future__ import annotations
@@ -35,11 +40,11 @@ from repro.core.serialization import canonical_payload, config_digest
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster, ClusterTopology
 from repro.job import TrainingJob
-from repro.collectives.cost import all_reduce_time, pair_transfer_time
 from repro.collectives.schedule import ALL_REDUCE_ALGORITHMS
 from repro.parallel.placement import (
-    REFERENCE_ALLREDUCE_BYTES,
-    REFERENCE_BOUNDARY_BYTES,
+    CLUSTER_PLACEMENT_MODES,
+    ClusterPlacement,
+    score_layout,
     sub_server,
 )
 from repro.parallel.sync import (
@@ -51,11 +56,6 @@ from repro.parallel.sync import (
     tp_sync_plane,
 )
 from repro.parallel.tensor import tp_shard_model
-
-CLUSTER_PLACEMENT_MODES = ("auto", "packed", "spread")
-
-_MODE_RANK = {mode: rank for rank, mode in
-              enumerate(CLUSTER_PLACEMENT_MODES[1:])}
 
 
 @dataclass(frozen=True)
@@ -104,63 +104,6 @@ class ClusterConfig:
         return pp
 
 
-@dataclass(frozen=True)
-class ClusterPlacement:
-    """``chains[r][t][s]`` is the global GPU of replica ``r``,
-    TP rank ``t``, pipeline stage ``s``."""
-
-    chains: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    mode: str
-    tp_score: float            # analytic seconds, reference TP all-reduces
-    allreduce_score: float     # analytic seconds, reference DP buckets
-    pipeline_score: float      # analytic seconds, adjacent-stage p2p
-    stage_major: bool = True   # within-block assignment (TP-tight?)
-
-    @property
-    def dp(self) -> int:
-        return len(self.chains)
-
-    @property
-    def tp(self) -> int:
-        return len(self.chains[0])
-
-    @property
-    def pp(self) -> int:
-        return len(self.chains[0][0])
-
-    def chain(self, replica: int, tp_rank: int) -> Tuple[int, ...]:
-        return self.chains[replica][tp_rank]
-
-    def tp_group(self, replica: int, stage: int) -> Tuple[int, ...]:
-        """Devices holding replica ``replica``'s stage-``stage`` shards."""
-        return tuple(self.chains[replica][t][stage] for t in range(self.tp))
-
-    def dp_group(self, tp_rank: int, stage: int) -> Tuple[int, ...]:
-        """Devices that all-reduce the (tp_rank, stage) gradient shard."""
-        return tuple(self.chains[r][tp_rank][stage] for r in range(self.dp))
-
-    @property
-    def score(self) -> float:
-        return self.tp_score + self.allreduce_score + self.pipeline_score
-
-    @property
-    def canonical_key(self) -> Tuple:
-        """Total order used to break score ties deterministically.
-
-        Equal-scored layouts resolve by mode (packed before spread),
-        then within-block assignment (stage-major before chain-major),
-        then the chain tuple itself — the same preference order the
-        historical first-wins scan encoded implicitly, but stable by
-        construction across runs and Python versions.
-        """
-        return (
-            self.score,
-            _MODE_RANK.get(self.mode, len(_MODE_RANK)),
-            0 if self.stage_major else 1,
-            self.chains,
-        )
-
-
 def _block_chains(block: Sequence[int], tp: int, pp: int, stage_major: bool
                   ) -> Tuple[Tuple[int, ...], ...]:
     """Assign a ``tp*pp`` device block to chains.
@@ -205,34 +148,6 @@ def _replica_blocks(topology: ClusterTopology, tp: int, dp: int, pp: int,
     return blocks
 
 
-def _score_cluster_layout(topology: ClusterTopology,
-                          chains: Tuple[Tuple[Tuple[int, ...], ...], ...]
-                          ) -> Tuple[float, float, float]:
-    dp, tp = len(chains), len(chains[0])
-    pp = len(chains[0][0])
-    tp_seconds = 0.0
-    if tp > 1:
-        for r in range(dp):
-            for s in range(pp):
-                group = tuple(chains[r][t][s] for t in range(tp))
-                tp_seconds += all_reduce_time(
-                    topology, group, REFERENCE_BOUNDARY_BYTES, "auto")
-    allreduce = 0.0
-    if dp > 1:
-        for t in range(tp):
-            for s in range(pp):
-                group = tuple(chains[r][t][s] for r in range(dp))
-                allreduce += all_reduce_time(
-                    topology, group, REFERENCE_ALLREDUCE_BYTES, "auto")
-    pipeline = 0.0
-    for replica in chains:
-        for chain in replica:
-            for s in range(pp - 1):
-                pipeline += pair_transfer_time(
-                    topology, chain[s], chain[s + 1], REFERENCE_BOUNDARY_BYTES)
-    return tp_seconds, allreduce, pipeline
-
-
 def cluster_placement(topology: ClusterTopology, tp: int, dp: int, pp: int,
                       mode: str = "auto") -> ClusterPlacement:
     """Place ``dp`` replicas of ``tp`` pipeline chains on the cluster.
@@ -267,7 +182,7 @@ def cluster_placement(topology: ClusterTopology, tp: int, dp: int, pp: int,
             chains = tuple(
                 _block_chains(block, tp, pp, stage_major) for block in blocks
             )
-            tp_s, ar_s, pipe_s = _score_cluster_layout(topology, chains)
+            tp_s, ar_s, pipe_s = score_layout(topology, chains)
             candidates.append(ClusterPlacement(
                 chains=chains, mode=name, tp_score=tp_s,
                 allreduce_score=ar_s, pipeline_score=pipe_s,
@@ -456,30 +371,39 @@ def plan_chain_job(job: TrainingJob, cluster: Cluster,
 def run_cluster(job: TrainingJob, cluster: Cluster,
                 config: Optional[ClusterConfig] = None,
                 system: str = "mpress") -> ClusterResult:
-    """Run a TP x DP x PP job over a cluster.
+    """Run a TP x DP x PP job over a cluster: place it, then run it.
 
     ``job`` supplies the model and batch geometry; its ``server``
     field is superseded by the cluster's placement (each chain runs on
-    its own carve-out).  Weak scaling as in ``run_hybrid``: every
-    replica processes ``samples_per_minibatch`` samples.
+    its own carve-out).
     """
-    from repro.core.mpress import run_system
-
     if config is None:
         config = ClusterConfig()
     topology = cluster.topology
     pp = config.stages(topology.n_gpus)
     placement = cluster_placement(topology, config.tp, config.dp, pp,
                                   mode=config.placement_mode)
-    sharded = tp_shard_model(job.model, config.tp, config.sequence_parallel)
-    reserve = 2 * config.bucket_bytes if config.dp > 1 else 0
-    flat_server = cluster.as_server()
+    return run_placed(job, cluster, config, placement, system)
+
+
+def run_placed(job: TrainingJob, cluster: Cluster, config: ClusterConfig,
+               placement: ClusterPlacement, system: str) -> ClusterResult:
+    """Run every chain of ``placement``, then both sync planes.
+
+    Weak scaling: every replica processes ``samples_per_minibatch``
+    samples.  Congruent chains simulate once (see the memo above).
+    """
+    from repro.core.mpress import run_system
+
+    topology = cluster.topology
+    sharded = tp_shard_model(job.model, placement.tp,
+                             config.sequence_parallel)
+    reserve = 2 * config.bucket_bytes if placement.dp > 1 else 0
     memo = _SHARED_CHAIN_MEMO if _SHARED_CHAIN_MEMO is not None else {}
     chains: List[List] = []
-    for replica in range(config.dp):
+    for replica_devices in placement.chains:
         replica_chains = []
-        for tp_rank in range(config.tp):
-            devices = placement.chain(replica, tp_rank)
+        for devices in replica_devices:
             chain_job = replace(job, model=sharded,
                                 server=chain_server(cluster, topology, devices))
             key = _chain_memo_key(chain_job, system, reserve)
@@ -492,8 +416,8 @@ def run_cluster(job: TrainingJob, cluster: Cluster,
     representative = chains[0][0]
     tp_sync = tp_sync_plane(placement, topology, job, config,
                             representative.job)
-    dp_sync = dp_sync_plane(placement, topology, job, config, flat_server,
-                            representative.job,
+    dp_sync = dp_sync_plane(placement, topology, job, config,
+                            cluster.as_server(), representative.job,
                             representative.plan.device_of)
     return ClusterResult(job=job, cluster=cluster, config=config,
                          system=system, placement=placement, chains=chains,

@@ -1,15 +1,18 @@
-"""Replica placement: carve a server into DP replica sub-servers.
+"""Placements: which GPU runs each replica's pipeline stages.
 
-A hybrid DP x PP run splits the server's GPUs into ``dp`` equal
-replica groups; each group runs the full pipeline and the groups
-all-reduce gradients stage-by-stage.  Where the cut falls matters on
-an asymmetric topology: the all-reduce rings of stage groups should
-sit on high-lane pairs, and adjacent pipeline stages inside a
-replica should keep their activation traffic on NVLink.
+A :class:`ClusterPlacement` is the one placement type of the
+TP x DP x PP cube: ``chains[r][t][s]`` names the GPU of replica ``r``,
+tensor rank ``t``, pipeline stage ``s``.
+:func:`~repro.parallel.cluster.cluster_placement` searches it over a
+cluster; :func:`replica_placement` here is the single-server DP x PP
+policy, returning a tp=1 placement.
 
-The search scores a handful of candidate layouts (contiguous blocks,
-strided, NVLink islands) with the analytic collective model plus the
-intra-replica point-to-point cost, both priced on reference message
+Where the replica cut falls matters on an asymmetric topology: the
+all-reduce rings of stage groups should sit on high-lane pairs, and
+adjacent pipeline stages inside a replica should keep their
+activation traffic on NVLink.  Both searches score their candidate
+layouts with :func:`score_layout` — the analytic collective model plus
+the intra-chain point-to-point cost, priced on reference message
 sizes — cheap enough to run inside the planner.
 """
 
@@ -30,54 +33,114 @@ REFERENCE_ALLREDUCE_BYTES = 64 * 1024 * 1024
 REFERENCE_BOUNDARY_BYTES = 16 * 1024 * 1024
 
 PLACEMENT_MODES = ("auto", "contiguous", "strided", "islands")
+CLUSTER_PLACEMENT_MODES = ("auto", "packed", "spread")
+
+_MODE_RANK = {mode: rank for rank, mode in
+              enumerate(CLUSTER_PLACEMENT_MODES[1:])}
+
+Chains = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
-class ReplicaPlacement:
-    """A chosen layout: ``groups[r][s]`` is replica ``r``'s stage-``s`` GPU."""
+class ClusterPlacement:
+    """``chains[r][t][s]`` is the global GPU of replica ``r``,
+    TP rank ``t``, pipeline stage ``s``."""
 
-    groups: Tuple[Tuple[int, ...], ...]
+    chains: Chains
     mode: str
-    allreduce_score: float     # analytic seconds, reference bucket, all stages
+    tp_score: float            # analytic seconds, reference TP all-reduces
+    allreduce_score: float     # analytic seconds, reference DP buckets
     pipeline_score: float      # analytic seconds, adjacent-stage p2p
+    stage_major: bool = True   # within-block assignment (TP-tight?)
 
     @property
     def dp(self) -> int:
-        return len(self.groups)
+        return len(self.chains)
 
     @property
-    def stages_per_replica(self) -> int:
-        return len(self.groups[0])
-
-    def stage_group(self, stage: int) -> Tuple[int, ...]:
-        """The devices that all-reduce stage ``stage``'s gradients."""
-        return tuple(group[stage] for group in self.groups)
-
-    # The placement view :func:`repro.parallel.sync.dp_sync_plane`
-    # reads: one tensor rank, ``pp`` stages per replica, and each
-    # stage's DP group is its stage group.
-    tp = 1
+    def tp(self) -> int:
+        return len(self.chains[0])
 
     @property
     def pp(self) -> int:
-        return self.stages_per_replica
+        return len(self.chains[0][0])
+
+    def chain(self, replica: int, tp_rank: int) -> Tuple[int, ...]:
+        return self.chains[replica][tp_rank]
+
+    def tp_group(self, replica: int, stage: int) -> Tuple[int, ...]:
+        """Devices holding replica ``replica``'s stage-``stage`` shards."""
+        return tuple(self.chains[replica][t][stage] for t in range(self.tp))
 
     def dp_group(self, tp_rank: int, stage: int) -> Tuple[int, ...]:
-        return self.stage_group(stage)
+        """Devices that all-reduce the (tp_rank, stage) gradient shard."""
+        return tuple(self.chains[r][tp_rank][stage] for r in range(self.dp))
 
     @property
     def score(self) -> float:
-        return self.allreduce_score + self.pipeline_score
+        return self.tp_score + self.allreduce_score + self.pipeline_score
 
     @property
     def canonical_key(self) -> Tuple:
-        """Total order for deterministic tie-breaking.
+        """Total order used to break score ties deterministically.
 
-        Equal scores resolve alphabetically by mode, then by the group
-        tuple — matching the historical first-wins scan over
-        ``sorted(layouts)`` while making the preference explicit.
+        Equal-scored layouts resolve by mode (packed before spread),
+        then within-block assignment (stage-major before chain-major),
+        then the chain tuple itself — the same preference order the
+        historical first-wins scan encoded implicitly, but stable by
+        construction across runs and Python versions.
         """
-        return (self.score, self.mode, self.groups)
+        return (
+            self.score,
+            _MODE_RANK.get(self.mode, len(_MODE_RANK)),
+            0 if self.stage_major else 1,
+            self.chains,
+        )
+
+
+def score_layout(topology, chains: Chains) -> Tuple[float, float, float]:
+    """(TP, DP all-reduce, pipeline) analytic seconds of a layout."""
+    dp, tp = len(chains), len(chains[0])
+    pp = len(chains[0][0])
+    tp_seconds = 0.0
+    if tp > 1:
+        for r in range(dp):
+            for s in range(pp):
+                group = tuple(chains[r][t][s] for t in range(tp))
+                tp_seconds += all_reduce_time(
+                    topology, group, REFERENCE_BOUNDARY_BYTES, "auto")
+    allreduce = 0.0
+    if dp > 1:
+        for t in range(tp):
+            for s in range(pp):
+                group = tuple(chains[r][t][s] for r in range(dp))
+                allreduce += all_reduce_time(
+                    topology, group, REFERENCE_ALLREDUCE_BYTES, "auto")
+    pipeline = 0.0
+    for replica in chains:
+        for chain in replica:
+            for s in range(pp - 1):
+                pipeline += pair_transfer_time(
+                    topology, chain[s], chain[s + 1], REFERENCE_BOUNDARY_BYTES)
+    return tp_seconds, allreduce, pipeline
+
+
+def replica_size(n_gpus: int, dp: int) -> int:
+    """GPUs per replica when ``dp`` replicas split ``n_gpus`` evenly.
+
+    Every replica of a ``dp > 1`` split is a pipeline of >= 2 stages.
+    """
+    if dp < 1:
+        raise ConfigurationError(f"data-parallel degree must be >= 1, got {dp}")
+    if n_gpus % dp != 0:
+        raise ConfigurationError(
+            f"data-parallel degree {dp} does not divide {n_gpus} GPUs")
+    size = n_gpus // dp
+    if dp > 1 and size < 2:
+        raise ConfigurationError(
+            f"hybrid replicas need >= 2 pipeline stages, got {size} "
+            f"(dp={dp} on {n_gpus} GPUs)")
+    return size
 
 
 def _candidate_layouts(topology: Topology, dp: int
@@ -101,48 +164,20 @@ def _candidate_layouts(topology: Topology, dp: int
     return layouts
 
 
-def _score_layout(topology: Topology,
-                  groups: Tuple[Tuple[int, ...], ...]) -> Tuple[float, float]:
-    size = len(groups[0])
-    allreduce = 0.0
-    if len(groups) > 1:
-        for stage in range(size):
-            stage_group = tuple(group[stage] for group in groups)
-            allreduce += all_reduce_time(
-                topology, stage_group, REFERENCE_ALLREDUCE_BYTES, "auto")
-    pipeline = 0.0
-    for group in groups:
-        for stage in range(size - 1):
-            pipeline += pair_transfer_time(
-                topology, group[stage], group[stage + 1],
-                REFERENCE_BOUNDARY_BYTES)
-    return allreduce, pipeline
-
-
 def replica_placement(topology: Topology, dp: int,
-                      mode: str = "auto") -> ReplicaPlacement:
-    """Pick the replica layout for ``dp``-way data parallelism."""
+                      mode: str = "auto") -> ClusterPlacement:
+    """Pick the tp=1 layout of ``dp`` replicas over one server.
+
+    ``chains[r][0]`` is replica ``r``'s pipeline.  Equal scores resolve
+    alphabetically by mode, then by the group tuple.
+    """
     if mode not in PLACEMENT_MODES:
         raise ConfigurationError(
             f"unknown placement mode {mode!r}; expected one of {PLACEMENT_MODES}")
-    if dp < 1:
-        raise ConfigurationError(f"data-parallel degree must be >= 1, got {dp}")
-    n = topology.n_gpus
-    if n % dp != 0:
-        raise ConfigurationError(
-            f"data-parallel degree {dp} does not divide {n} GPUs")
-    size = n // dp
-    if dp == 1:
-        groups = (tuple(range(n)),)
-        allreduce, pipeline = _score_layout(topology, groups)
-        return ReplicaPlacement(groups=groups, mode="contiguous",
-                                allreduce_score=allreduce,
-                                pipeline_score=pipeline)
-    if size < 2:
-        raise ConfigurationError(
-            f"hybrid replicas need >= 2 pipeline stages, got {size} "
-            f"(dp={dp} on {n} GPUs)")
+    replica_size(topology.n_gpus, dp)
     layouts = _candidate_layouts(topology, dp)
+    if dp == 1:
+        mode = "contiguous"       # every layout is the whole server
     if mode != "auto":
         if mode not in layouts:
             raise ConfigurationError(
@@ -150,15 +185,14 @@ def replica_placement(topology: Topology, dp: int,
                 f"(candidates: {sorted(layouts)})")
         layouts = {mode: layouts[mode]}
     candidates = []
-    for name in sorted(layouts):
-        groups = layouts[name]
-        allreduce, pipeline = _score_layout(topology, groups)
-        candidates.append(ReplicaPlacement(groups=groups, mode=name,
-                                           allreduce_score=allreduce,
-                                           pipeline_score=pipeline))
-    # min() over the canonical key: score ties resolve to the same
-    # layout on every run and Python version.
-    return min(candidates, key=lambda candidate: candidate.canonical_key)
+    for name, groups in layouts.items():
+        chains = tuple((group,) for group in groups)
+        tp_s, ar_s, pipe_s = score_layout(topology, chains)
+        candidates.append(ClusterPlacement(
+            chains=chains, mode=name, tp_score=tp_s, allreduce_score=ar_s,
+            pipeline_score=pipe_s))
+    return min(candidates, key=lambda placement: (
+        placement.score, placement.mode, placement.chains))
 
 
 def sub_server(server: Server, devices: Sequence[int]) -> Server:

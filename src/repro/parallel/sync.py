@@ -1,12 +1,13 @@
 """The two synchronisation planes of a TP x DP x PP run, shared
 between execution and pricing.
 
-``run_cluster``, ``run_hybrid`` (a :class:`~repro.parallel.placement.ReplicaPlacement` is a
-tp=1 placement view) and the autoplan pricing layer — which needs the
-accounting *without* simulating any chain first — all read both planes
-from here, parameterised by the chain job (either a simulated
-representative's job or an analytically built one) and a stage ->
-device mapping.  Per-bucket all-reduce pricing and the
+:func:`~repro.parallel.cluster.run_placed` (behind both
+``run_cluster`` and ``run_hybrid``) and the autoplan pricing layer —
+which needs the accounting *without* simulating any chain first — read
+both planes from here, for any
+:class:`~repro.parallel.placement.ClusterPlacement`, parameterised by
+the chain job (either a simulated representative's job or an
+analytically built one) and a stage -> device mapping.  Per-bucket all-reduce pricing and the
 :class:`StageAllReduce` record live here too.
 
 Two pricing regimes:

@@ -84,21 +84,6 @@ class TPLayerSpec(LayerSpec):
             return max(1, base // self.tp)
         return base
 
-    # -- TP collective accounting ---------------------------------------
-
-    @property
-    def allreduces_per_direction(self) -> int:
-        return costs.tp_allreduce_count(self.kind.value)
-
-    def tp_comm_bytes(self, microbatch: int, bytes_per_element: int = 2) -> int:
-        """Logical bytes this layer all-reduces over fwd+bwd (0 if tp=1)."""
-        if self.tp == 1:
-            return 0
-        cfg = self.config
-        return costs.tp_layer_comm_bytes(
-            self.kind.value, cfg.hidden, cfg.seq_len, microbatch, bytes_per_element
-        )
-
 
 def tp_shard_model(model: ModelSpec, tp: int,
                    sequence_parallel: bool = False) -> ModelSpec:
@@ -123,24 +108,6 @@ def tp_shard_model(model: ModelSpec, tp: int,
         for layer in model.layers
     ]
     return ModelSpec(config=cfg, layers=layers)
-
-
-def valid_tp_degrees(model: ModelSpec, limit: int) -> Sequence[int]:
-    """Power-of-two TP degrees ``model`` can shard to, up to ``limit``.
-
-    The shard constraints mirror :func:`tp_shard_model`: the degree
-    must divide the hidden dimension and not exceed the attention head
-    count.  The autoplan candidate generator uses this to skip degrees
-    that could never shard (1 is always valid).
-    """
-    cfg = model.config
-    degrees = []
-    tp = 1
-    while tp <= limit:
-        if cfg.hidden % tp == 0 and tp <= cfg.heads:
-            degrees.append(tp)
-        tp *= 2
-    return degrees
 
 
 def tp_sync_time(layers: Sequence[LayerSpec], topology, group: Sequence[int],

@@ -89,6 +89,3 @@ class StagePlan:
         if not 0 <= stage_id < self.n_stages:
             raise PartitionError(f"stage id {stage_id} out of range")
         return self.stages[stage_id]
-
-    def max_forward_flops(self, microbatch: int) -> float:
-        return max(stage.forward_flops(microbatch) for stage in self.stages)

@@ -21,7 +21,8 @@ one sweep and closes it before returning.  A task resolves through:
 
 An executor with ``workers=0`` has no pool: every attempt, ``retries``
 + 1 of them, runs inline.  Persistent errors are recorded per task,
-never raised.  :class:`SweepRuntime` returns results **in submission
+never raised; a :class:`~repro.errors.ConfigurationError` is recorded
+on its first attempt, since a retry would raise it again.  :class:`SweepRuntime` returns results **in submission
 order**, so a sweep's output is byte-identical whatever ``jobs`` is.
 """
 
@@ -291,6 +292,11 @@ class TaskExecutor:
             try:
                 return TaskOutcome(task=task, record=future.result(),
                                    source="pool", attempts=attempts)
+            except ConfigurationError as exc:
+                # Deterministic: every retry would raise it again.
+                return TaskOutcome(task=task, record=None, source="pool",
+                                   attempts=attempts,
+                                   error=f"{type(exc).__name__}: {exc}")
             except BrokenProcessPool:
                 # A worker died (crash, OOM-kill): this generation is
                 # gone.  Rebuild; the task has been charged.
@@ -310,11 +316,13 @@ class TaskExecutor:
                 record = execute_task(task)
             except Exception as exc:   # noqa: BLE001 — recorded per task
                 error = f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, ConfigurationError):
+                    break           # deterministic: not worth a retry
                 continue
             return TaskOutcome(task=task, record=record, source="inline",
                                attempts=prior_attempts + attempt)
         return TaskOutcome(task=task, record=None, source="inline",
-                           attempts=prior_attempts + budget, error=error)
+                           attempts=prior_attempts + attempt, error=error)
 
     # -- introspection ----------------------------------------------------
 

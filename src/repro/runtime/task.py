@@ -192,7 +192,7 @@ def _record(task: SimTask, result, *, feasible, peaks=(), trace=None,
     ``samples_per_second``/``minibatch_time``/``makespan``; makespan,
     ``peaks`` and the ``trace`` digest are only reported for runs that
     fit.  ``sub`` may also replace a shared field in place (``zero``,
-    ``resilience``).
+    ``resilience``, a hybrid run's ``oom``).
     """
     ok = result.ok
     record = {
@@ -290,26 +290,30 @@ def _execute_hybrid(task: SimTask) -> Dict:
     from repro.parallel.hybrid import run_hybrid
 
     result = run_hybrid(task.job, task.hybrid, system=task.system)
+    replicas = [chains[0] for chains in result.chains]      # tp == 1
     return _record(
         task, result,
         feasible=all(
-            replica.planner_report.feasible for replica in result.replicas),
+            replica.planner_report.feasible for replica in replicas),
         peaks=result.peak_memory_per_gpu(),
-        trace=result.replicas[0].simulation.trace,
+        trace=replicas[0].simulation.trace,
+        oom=next((f"replica {index}: {replica.simulation.oom}"
+                  for index, replica in enumerate(replicas)
+                  if not replica.ok), None),
         hybrid={
             "dp": result.dp,
             "placement_mode": result.placement.mode,
-            "groups": [list(group) for group in result.placement.groups],
+            "groups": [list(chains[0]) for chains in result.placement.chains],
             "bucket_bytes": task.hybrid.bucket_bytes,
             "collective_mode": task.hybrid.collective_mode,
             "overlap": task.hybrid.overlap,
-            "replica_minibatch_time": result.replica_minibatch_time,
+            "replica_minibatch_time": result.chain_minibatch_time,
             "exposed_allreduce": result.exposed_allreduce,
             "stage_allreduce": _stage_allreduce(result.stage_allreduce),
             "replica_trace_digests": [
                 trace_digest(replica.simulation.trace)
                 if replica.ok else None
-                for replica in result.replicas
+                for replica in replicas
             ],
         },
     )

@@ -35,7 +35,7 @@ from repro.jobspec import task_from_spec
 from repro.models.config import TransformerConfig
 from repro.models.layers import build_model
 from repro.parallel.cluster import ClusterPlacement, cluster_placement
-from repro.parallel.placement import ReplicaPlacement
+from repro.parallel.placement import replica_placement
 from repro.runtime.task import SimTask, execute_task
 from repro.units import GBps, GiB
 from tests.conftest import TINY_GPU, small_server, tiny_job
@@ -308,16 +308,16 @@ class TestTieBreaks:
         assert sorted([spread, minor, packed],
                       key=lambda p: p.canonical_key)[0] is packed
 
-    def test_replica_key_is_alphabetical_at_equal_score(self):
-        base = dict(groups=((0, 1), (2, 3)),
-                    allreduce_score=0.5, pipeline_score=0.5)
-        contiguous = ReplicaPlacement(mode="contiguous", **base)
-        islands = ReplicaPlacement(mode="islands", **base)
-        strided = ReplicaPlacement(mode="strided", **base)
-        ordered = sorted([strided, islands, contiguous],
-                         key=lambda p: p.canonical_key)
-        assert [p.mode for p in ordered] == \
-            ["contiguous", "islands", "strided"]
+    def test_replica_placement_ties_resolve_alphabetically(
+            self, switched_server):
+        # On a switch every layout scores the same: the tie goes to
+        # the alphabetically first mode, then the smaller groups.
+        topology = switched_server.topology
+        contiguous = replica_placement(topology, 2, mode="contiguous")
+        strided = replica_placement(topology, 2, mode="strided")
+        assert contiguous.score == strided.score
+        assert contiguous.chains != strided.chains
+        assert replica_placement(topology, 2) == contiguous
 
     def test_cluster_placement_is_stable(self, cluster):
         first = cluster_placement(cluster.topology, 2, 2, 2)

@@ -301,6 +301,39 @@ class TestHybridCommand:
         assert code == 0
         assert "ring" in capsys.readouterr().out
 
+    def test_hybrid_dp4_prints_the_strided_layout(self, capsys):
+        code = main([
+            "hybrid", "--model", "bert-0.35", "--system", "none",
+            "--dp", "4",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tp=1 dp=4 pp=2" in out
+        assert "placement (strided): 0,4 | 1,5 | 2,6 | 3,7" in out
+
+    def test_explicit_pp_takes_the_cluster_path(self, capsys):
+        code = main([
+            "hybrid", "--model", "bert-0.35", "--system", "none",
+            "--dp", "2", "--pp", "3",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tp=1 dp=2 pp=3" in out
+        assert "placement (packed): 0,1,2 | 3,4,5" in out
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--sp"], "--sp"),
+        (["--cluster-placement", "spread"], "--cluster-placement"),
+        (["--nodes", "2", "--placement", "strided"], "--placement"),
+        (["--tp", "2", "--placement", "islands"], "--placement"),
+    ])
+    def test_flag_the_path_cannot_read_is_an_error(self, capsys, flags,
+                                                   named):
+        code = main(["hybrid", "--model", "bert-0.35", "--system", "none",
+                     *flags])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestZeroOptionsFlags:
     def test_flag_defaults_preserve_output(self, capsys):
@@ -469,6 +502,24 @@ class TestPlanJson:
         assert (shape["tp"], shape["dp"], shape["pp"]) == (2, 2, 2)
         assert shape["cluster"] == "2x-dgx1"
         assert shape["score"] > 0
+
+    @pytest.mark.parametrize("flags,dp,pp", [
+        (["--dp", "2"], 2, 4),
+        (["--pp", "3"], 1, 3),
+    ])
+    def test_explicit_dp_or_pp_plans_one_chain(self, capsys, flags, dp, pp):
+        code = main(["plan", "--model", "bert-0.35", "--json", *flags])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        shape = payload["shape"]
+        assert (shape["tp"], shape["dp"], shape["pp"]) == (1, dp, pp)
+        assert shape["cluster"] == "1x-dgx1"
+        assert len(payload["per_gpu_peak_gib"]) == pp
+
+    def test_sp_without_tp_is_an_error(self, capsys):
+        code = main(["plan", "--model", "bert-0.35", "--json", "--sp"])
+        assert code == 2
+        assert "--sp" in capsys.readouterr().err
 
 
 class TestServeSim:

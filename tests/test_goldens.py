@@ -80,6 +80,9 @@ HYBRID_GOLDENS = {
                                           "recomputation", 6, 2),
     "dgx2-dapple-gpt53-recomp-dp2": ("gpt", 5.3, "dgx2", "dapple",
                                      "recomputation", 2, 2),
+    # dp=4 on the cube-mesh picks the strided layout (0,4) (1,5) ...
+    "dgx1-pipedream-bert035-recomp-dp4": ("bert", 0.35, "dgx1", "pipedream",
+                                          "recomputation", 6, 4),
 }
 
 

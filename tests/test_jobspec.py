@@ -221,6 +221,21 @@ class TestTrainingTaskSpecs:
             task_from_spec(dict(self.BERT, hybrid_dp=2, dp=2))
         assert task_from_spec(dict(self.BERT, hybrid_dp=2)).kind == "hybrid"
 
+    @pytest.mark.parametrize("dp", [0, 3, 5, 8])
+    def test_hybrid_dp_must_split_the_server_into_pipelines(self, dp):
+        # DGX-1 has 8 GPUs: dp must divide them into replicas of >= 2.
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match="^hybrid_dp: "):
+            task_from_spec(dict(self.BERT, hybrid_dp=dp))
+
+    @pytest.mark.parametrize("dp", [1, 2, 4])
+    def test_hybrid_dp_that_splits_the_server_accepted(self, dp):
+        from repro.jobspec import task_from_spec
+
+        task = task_from_spec(dict(self.BERT, hybrid_dp=dp))
+        assert task.hybrid.dp == dp
+
     def test_zero_task_with_faults_rejected(self):
         from repro.jobspec import task_from_spec
 

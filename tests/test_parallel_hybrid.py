@@ -23,15 +23,16 @@ def test_replica_placement_small_server_prefers_strong_pairs(server):
     the strided layout puts both stage groups on 2-lane pairs."""
     placement = replica_placement(server.topology, dp=2)
     assert placement.dp == 2
-    assert placement.stages_per_replica == 2
+    assert placement.tp == 1
+    assert placement.pp == 2
     for stage in range(2):
-        a, b = placement.stage_group(stage)
+        a, b = placement.dp_group(0, stage)
         assert server.topology.lanes(a, b) == 2
 
 
 def test_replica_placement_dp1_is_identity(server):
     placement = replica_placement(server.topology, dp=1)
-    assert placement.groups == ((0, 1, 2, 3),)
+    assert placement.chains == (((0, 1, 2, 3),),)
     assert placement.allreduce_score == 0.0
 
 
@@ -46,9 +47,9 @@ def test_replica_placement_validates(server):
 
 def test_replica_placement_explicit_modes(server):
     contiguous = replica_placement(server.topology, dp=2, mode="contiguous")
-    assert contiguous.groups == ((0, 1), (2, 3))
+    assert contiguous.chains == (((0, 1),), ((2, 3),))
     strided = replica_placement(server.topology, dp=2, mode="strided")
-    assert strided.groups == ((0, 2), (1, 3))
+    assert strided.chains == (((0, 2),), ((1, 3),))
 
 
 def test_sub_server_induces_topology(server):
@@ -179,11 +180,11 @@ def test_run_hybrid_dp2_direct(server):
     result = run_hybrid(job, HybridConfig(dp=2), system="none")
     assert result.ok
     assert result.dp == 2
-    assert len(result.replicas) == 2
-    assert len(result.stage_allreduce) == result.placement.stages_per_replica
+    assert len(result.chains) == 2
+    assert len(result.stage_allreduce) == result.pp
     assert result.exposed_allreduce >= 0.0
     assert result.minibatch_time == pytest.approx(
-        result.replica_minibatch_time + result.exposed_allreduce)
+        result.chain_minibatch_time + result.exposed_allreduce)
     # Weak scaling: dp replicas each process the per-replica batch.
     assert result.samples_per_second == pytest.approx(
         2 * job.samples_per_minibatch / result.minibatch_time)
@@ -225,10 +226,54 @@ def test_run_hybrid_reserves_bucket_staging(server):
     assert result.ok
     peaks = result.peak_memory_per_gpu()
     assert len(peaks) == server.n_gpus
-    replica_peaks = result.replicas[0].simulation.peak_memory_per_gpu
-    group = result.placement.groups[0]
+    replica_peaks = result.chains[0][0].simulation.peak_memory_per_gpu
+    group = result.placement.chain(0, 0)
     for local, device in enumerate(group):
         assert peaks[device] == int(replica_peaks[local]) + 2 * MiB
+
+
+@pytest.mark.parametrize("dp", [2, 4])
+def test_congruent_replicas_simulate_once(monkeypatch, dp):
+    """DGX-1's replicas at dp=2 (two quads) and dp=4 (the strided
+    pairs) induce the same carve-out topology, so the chain memo runs
+    one simulation for all of them."""
+    from repro.core import mpress
+    from repro.hardware.server import dgx1_server
+    from repro.job import pipedream_job
+    from repro.models import bert_variant
+
+    calls = []
+    real = mpress.run_system
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].server.name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpress, "run_system", counting)
+    job = pipedream_job(bert_variant(0.35), dgx1_server(), n_minibatches=2)
+    result = run_hybrid(job, HybridConfig(dp=dp), system="none")
+    assert result.ok and result.dp == dp
+    assert len(calls) == 1
+    assert all(chains[0] is result.chains[0][0] for chains in result.chains)
+
+
+def test_hybrid_oom_record_names_the_replica():
+    """An OOM hybrid record says which replica failed, with no TP rank
+    (the cluster record's wording), byte for byte."""
+    from repro.hardware.server import dgx1_server
+    from repro.job import pipedream_job
+    from repro.models import bert_variant
+    from repro.runtime.task import SimTask, execute_task
+
+    job = pipedream_job(bert_variant(0.64), dgx1_server(), n_minibatches=2)
+    record = execute_task(SimTask(label="oom", job=job, system="none",
+                                  hybrid=HybridConfig(dp=4)))
+    assert not record["ok"]
+    assert record["oom"] == (
+        "replica 0: device gpu0: allocation of 1214565580 bytes exceeds "
+        "capacity (34172827528 in use of 34359738368)")
+    assert record["peak_bytes_per_gpu"] == []
+    assert record["hybrid"]["replica_trace_digests"] == [None] * 4
 
 
 def test_hybrid_key_payload_compatibility(server):

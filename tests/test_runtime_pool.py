@@ -352,6 +352,43 @@ def test_worker_exception_retries_then_records(monkeypatch, caller):
     assert outcome["attempts"] == 3       # retries + 1 + inline
 
 
+def test_configuration_error_is_not_retried():
+    """A task the executor cannot run (dp=3 does not divide DGX-1's 8
+    GPUs) fails the same way every time: one pool attempt, no inline
+    rerun."""
+    from repro.hardware.server import dgx1_server
+    from repro.job import pipedream_job
+    from repro.models import bert_variant
+    from repro.parallel.hybrid import HybridConfig
+
+    task = SimTask(label="dp3", job=pipedream_job(bert_variant(0.35),
+                                                  dgx1_server()),
+                   system="none", hybrid=HybridConfig(dp=3))
+    executor = TaskExecutor(workers=1)
+    try:
+        outcome = executor.execute(task)
+    finally:
+        executor.shutdown()
+    assert not outcome.ok
+    assert outcome.error.startswith("ConfigurationError: ")
+    assert "does not divide" in outcome.error
+    assert (outcome.source, outcome.attempts) == ("pool", 1)
+    assert executor.inline_runs == 0
+    assert executor.failures == 1
+
+
+def test_inline_configuration_error_is_not_retried(monkeypatch):
+    def _misconfigured(task):
+        raise ConfigurationError("bad shape")
+
+    monkeypatch.setattr("repro.runtime.pool.execute_task", _misconfigured)
+    executor = TaskExecutor(workers=0, retries=2)
+    outcome = executor.execute(SimTask(label="t", job=tiny_job(),
+                                       system="none"))
+    assert outcome.error == "ConfigurationError: bad shape"
+    assert (outcome.source, outcome.attempts) == ("inline", 1)
+
+
 def _collector_enabled() -> bool:
     return gc.isenabled()
 

@@ -190,6 +190,7 @@ class TestEndpoints:
         ({"faults_seed": "two"}, "faults_seed"),
         ({"faults_seed": 1, "faults_horizon": None}, "faults_horizon"),
         ({"hybrid_dp": "x"}, "hybrid_dp"),
+        ({"hybrid_dp": 3}, "hybrid_dp"),
         ({"nodes": 2, "shape": "auto", "budget_gib": "lots"}, "budget_gib"),
         ({"tp": 0}, "tp"),
     ])
