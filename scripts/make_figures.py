@@ -17,8 +17,8 @@ import os
 import sys
 
 from repro.analysis.plotting import grouped_bars
-from repro.analysis.reporting import format_series, format_table
-from repro.analysis.sweep import pivot, run_sweep, save_csv
+from repro.analysis.reporting import format_series, format_table, save_csv
+from repro.analysis.sweep import COLUMNS, pivot, run_sweep
 from repro.baselines.zero import run_zero
 from repro.core.profiler import Profiler
 from repro.hardware import dgx1_server, dgx2_server
@@ -80,7 +80,7 @@ def figure7(out_dir: str, quick: bool) -> None:
         for billions in sizes
     }
     cells = run_sweep(jobs, systems)
-    save_csv(cells, os.path.join(out_dir, "figure7_bert.csv"))
+    save_csv(cells, COLUMNS, os.path.join(out_dir, "figure7_bert.csv"))
     table = pivot(cells)
     series = {
         system: [
@@ -103,7 +103,7 @@ def figure8(out_dir: str, quick: bool) -> None:
             for billions in sizes
         }
         cells = run_sweep(jobs, ["none", "recomputation", "mpress"])
-        save_csv(cells, os.path.join(out_dir, f"figure8{tag}.csv"))
+        save_csv(cells, COLUMNS, os.path.join(out_dir, f"figure8{tag}.csv"))
         table = pivot(cells)
         series = {
             system: [

@@ -5,8 +5,10 @@ multi-server cluster through the sweep runtime (each cell a
 content-addressed :class:`~repro.runtime.task.SimTask` with a
 ``ClusterConfig``), and record throughput, both exposed
 synchronisation tails (TP collectives and DP gradient buckets), and
-per-GPU peak memory.  One row per shape, CSV export included,
-following :mod:`repro.analysis.dp_scaling`.
+per-GPU peak memory.  One row per shape; :data:`COLUMNS` exports
+them through :func:`repro.analysis.reporting.to_csv`.  The task grid
+is the ``cluster-2xdgx1`` preset's
+(:func:`repro.runtime.presets.shape_grid_tasks`).
 
 The job spec is per replica (weak scaling), so samples/s scales with
 ``dp`` at fixed shape quality; what the sweep surfaces is the *shape*
@@ -17,14 +19,14 @@ all-reduces, and DP across the fabric pays the NIC ramp.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.job import TrainingJob
-from repro.parallel.cluster import ClusterConfig
+from repro.parallel.sync import DEFAULT_BUCKET_BYTES
+from repro.runtime.presets import CLUSTER_SHAPES, shape_grid_tasks
+from repro.runtime.task import SimTask
 
 
 @dataclass(frozen=True)
@@ -44,50 +46,37 @@ class ClusterScalingCell:
     placement_mode: str
 
 
-FIELDS = ["tp", "dp", "pp", "ok", "samples_per_second", "tflops",
-          "minibatch_time", "exposed_tp_sync", "exposed_allreduce",
-          "peak_gib", "placement_mode"]
-
-DEFAULT_SHAPES = ((1, 2, 4), (2, 2, 2), (2, 4, 2), (4, 2, 2))
+COLUMNS = {"tp": "", "dp": "", "pp": "", "ok": "d",
+           "samples_per_second": ".3f", "tflops": ".3f",
+           "minibatch_time": ".6f", "exposed_tp_sync": ".6f",
+           "exposed_allreduce": ".6f", "peak_gib": ".3f",
+           "placement_mode": ""}
 
 
 def cluster_scaling_tasks(
     job: TrainingJob,
     cluster: Cluster,
-    shapes: Sequence[Tuple[int, int, int]] = DEFAULT_SHAPES,
+    shapes: Sequence[Tuple[int, int, int]] = CLUSTER_SHAPES,
     system: str = "mpress",
     sequence_parallel: bool = False,
     algorithm: str = "auto",
-    bucket_bytes: Optional[int] = None,
-) -> List["SimTask"]:
+    bucket_bytes: int = DEFAULT_BUCKET_BYTES,
+) -> List[SimTask]:
     """The sweep's task list (one content-addressed cell per shape)."""
-    from repro.runtime.task import SimTask
-
-    tasks = []
-    for tp, dp, pp in shapes:
-        kwargs = {"tp": tp, "dp": dp, "pp": pp, "algorithm": algorithm,
-                  "sequence_parallel": sequence_parallel}
-        if bucket_bytes is not None:
-            kwargs["bucket_bytes"] = bucket_bytes
-        tasks.append(SimTask(
-            label=(f"cluster-scaling/{system}/{cluster.name}"
-                   f"/tp={tp},dp={dp},pp={pp}"),
-            job=job,
-            system=system,
-            cluster=cluster,
-            cluster_config=ClusterConfig(**kwargs),
-        ))
-    return tasks
+    return shape_grid_tasks(f"cluster-scaling/{system}/{cluster.name}", job,
+                            cluster, shapes, system, algorithm=algorithm,
+                            sequence_parallel=sequence_parallel,
+                            bucket_bytes=bucket_bytes)
 
 
 def cluster_scaling_sweep(
     job: TrainingJob,
     cluster: Cluster,
-    shapes: Sequence[Tuple[int, int, int]] = DEFAULT_SHAPES,
+    shapes: Sequence[Tuple[int, int, int]] = CLUSTER_SHAPES,
     system: str = "mpress",
     sequence_parallel: bool = False,
     algorithm: str = "auto",
-    bucket_bytes: Optional[int] = None,
+    bucket_bytes: int = DEFAULT_BUCKET_BYTES,
     runtime: Optional["SweepRuntime"] = None,
 ) -> List[ClusterScalingCell]:
     """Throughput vs. parallelism shape on one cluster.
@@ -159,30 +148,3 @@ def grid_winner(
         return None
     return min(ok_cells, key=lambda cell: (
         -cell.samples_per_second, (cell.tp, cell.dp, cell.pp)))
-
-
-def to_csv(cells: Sequence[ClusterScalingCell]) -> str:
-    """Render cluster-scaling cells as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=FIELDS)
-    writer.writeheader()
-    for cell in cells:
-        writer.writerow({
-            "tp": cell.tp,
-            "dp": cell.dp,
-            "pp": cell.pp,
-            "ok": int(cell.ok),
-            "samples_per_second": f"{cell.samples_per_second:.3f}",
-            "tflops": f"{cell.tflops:.3f}",
-            "minibatch_time": f"{cell.minibatch_time:.6f}",
-            "exposed_tp_sync": f"{cell.exposed_tp_sync:.6f}",
-            "exposed_allreduce": f"{cell.exposed_allreduce:.6f}",
-            "peak_gib": f"{cell.peak_gib:.3f}",
-            "placement_mode": cell.placement_mode,
-        })
-    return buffer.getvalue()
-
-
-def save_csv(cells: Sequence[ClusterScalingCell], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(to_csv(cells))

@@ -5,7 +5,9 @@ through the sweep runtime (each cell a content-addressed
 :class:`~repro.runtime.task.SimTask` with a ``HybridConfig``), and
 record throughput, the exposed all-reduce tail, and the scaling
 efficiency against the ``dp=1`` pipeline.  One row per replica
-count, CSV export included, following :mod:`repro.analysis.sweep`.
+count; :data:`COLUMNS` exports them through
+:func:`repro.analysis.reporting.to_csv`.  The task grid is the
+``hybrid-dgx1`` preset's (:func:`repro.runtime.presets.dp_grid_tasks`).
 
 The job spec is per replica (weak scaling): perfect scaling doubles
 samples/s with ``dp``; anything lost went to gradient
@@ -14,13 +16,13 @@ synchronisation or to the shorter pipelines' worse bubble ratio.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.job import TrainingJob
-from repro.parallel.hybrid import HybridConfig
+from repro.parallel.sync import DEFAULT_BUCKET_BYTES
+from repro.runtime.presets import DP_GRID, DP_SYSTEM, dp_grid_tasks
+from repro.runtime.task import SimTask
 
 
 @dataclass(frozen=True)
@@ -37,40 +39,31 @@ class DPScalingCell:
     scaling_efficiency: float   # samples/s over dp x the dp=1 rate
 
 
-FIELDS = ["dp", "ok", "samples_per_second", "tflops", "minibatch_time",
-          "exposed_allreduce", "peak_gib", "scaling_efficiency"]
+COLUMNS = {"dp": "", "ok": "d", "samples_per_second": ".3f",
+           "tflops": ".3f", "minibatch_time": ".6f",
+           "exposed_allreduce": ".6f", "peak_gib": ".3f",
+           "scaling_efficiency": ".4f"}
 
 
 def dp_scaling_tasks(
     job: TrainingJob,
-    dp_grid: Sequence[int] = (1, 2, 4),
-    system: str = "recomputation",
+    dp_grid: Sequence[int] = DP_GRID,
+    system: str = DP_SYSTEM,
     algorithm: str = "auto",
-    bucket_bytes: Optional[int] = None,
-) -> List["SimTask"]:
+    bucket_bytes: int = DEFAULT_BUCKET_BYTES,
+) -> List[SimTask]:
     """The sweep's task list (one content-addressed cell per degree)."""
-    from repro.runtime.task import SimTask
-
-    tasks = []
-    for dp in dp_grid:
-        kwargs = {"dp": dp, "algorithm": algorithm}
-        if bucket_bytes is not None:
-            kwargs["bucket_bytes"] = bucket_bytes
-        tasks.append(SimTask(
-            label=f"dp-scaling/{system}/{job.server.name}/dp={dp}",
-            job=job,
-            system=system,
-            hybrid=HybridConfig(**kwargs),
-        ))
-    return tasks
+    return dp_grid_tasks(f"dp-scaling/{system}/{job.server.name}", job,
+                         dp_grid, system, algorithm=algorithm,
+                         bucket_bytes=bucket_bytes)
 
 
 def dp_scaling_sweep(
     job: TrainingJob,
-    dp_grid: Sequence[int] = (1, 2, 4),
-    system: str = "recomputation",
+    dp_grid: Sequence[int] = DP_GRID,
+    system: str = DP_SYSTEM,
     algorithm: str = "auto",
-    bucket_bytes: Optional[int] = None,
+    bucket_bytes: int = DEFAULT_BUCKET_BYTES,
     runtime: Optional["SweepRuntime"] = None,
 ) -> List[DPScalingCell]:
     """Throughput vs. replica count for one (per-replica) job spec.
@@ -110,27 +103,3 @@ def dp_scaling_sweep(
             scaling_efficiency=efficiency,
         ))
     return cells
-
-
-def to_csv(cells: Sequence[DPScalingCell]) -> str:
-    """Render DP-scaling cells as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=FIELDS)
-    writer.writeheader()
-    for cell in cells:
-        writer.writerow({
-            "dp": cell.dp,
-            "ok": int(cell.ok),
-            "samples_per_second": f"{cell.samples_per_second:.3f}",
-            "tflops": f"{cell.tflops:.3f}",
-            "minibatch_time": f"{cell.minibatch_time:.6f}",
-            "exposed_allreduce": f"{cell.exposed_allreduce:.6f}",
-            "peak_gib": f"{cell.peak_gib:.3f}",
-            "scaling_efficiency": f"{cell.scaling_efficiency:.4f}",
-        })
-    return buffer.getvalue()
-
-
-def save_csv(cells: Sequence[DPScalingCell], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(to_csv(cells))

@@ -1,12 +1,16 @@
-"""Plain-text table and series rendering for benchmark output.
+"""Plain-text table and series rendering, and CSV export.
 
 Every benchmark prints the rows/series its paper table or figure
 reports, using these helpers so output stays uniform and diffable.
+Every sweep table — the analysis sweeps and ``repro sweep --csv`` —
+exports through :func:`to_csv`, driven by the sweep's column table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import csv
+import io
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = "") -> str:
@@ -39,3 +43,26 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
+
+
+def to_csv(rows: Iterable, columns: Mapping[str, str]) -> str:
+    """CSV text: a header of the column names, then one line per row.
+
+    ``columns`` maps each column name to the format spec of its cells
+    (``format(value, spec)``: ``".3f"``, ``"d"`` to print a bool as
+    0/1, ``""`` for plain text); each cell is the row's attribute of
+    that name.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format(getattr(row, name), spec)
+                         for name, spec in columns.items()])
+    return buffer.getvalue()
+
+
+def save_csv(rows: Iterable, columns: Mapping[str, str], path: str) -> None:
+    """Write :func:`to_csv` text to ``path``."""
+    with open(path, "w") as handle:
+        handle.write(to_csv(rows, columns))

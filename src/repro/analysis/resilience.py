@@ -3,8 +3,9 @@
 For each mean-time-between-failures value on a grid, generate a
 seeded fault campaign (Poisson arrivals over the fault-free run's
 makespan), train through it, and record the resulting goodput next
-to the fault-free throughput.  One row per (MTBF, trial) cell, CSV
-export included, following :mod:`repro.analysis.sweep`.
+to the fault-free throughput.  One row per (MTBF, trial) cell;
+:data:`COLUMNS` exports them through
+:func:`repro.analysis.reporting.to_csv`.
 
 Both the fault-free baseline and every campaign replay execute
 through :mod:`repro.runtime`: campaigns are independent plan replays,
@@ -15,8 +16,6 @@ sweep performs zero simulations).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -48,9 +47,12 @@ class ResilienceCell:
         return self.goodput_samples_per_second / self.fault_free_samples_per_second
 
 
-FIELDS = ["mtbf", "trial", "seed", "n_faults", "n_failures", "ok",
-          "fault_free_samples_per_second", "goodput_samples_per_second",
-          "goodput_ratio", "recovery_seconds", "lost_seconds", "makespan"]
+COLUMNS = {"mtbf": ".3f", "trial": "", "seed": "", "n_faults": "",
+           "n_failures": "", "ok": "d",
+           "fault_free_samples_per_second": ".3f",
+           "goodput_samples_per_second": ".3f", "goodput_ratio": ".4f",
+           "recovery_seconds": ".6f", "lost_seconds": ".6f",
+           "makespan": ".6f"}
 
 
 def resilience_sweep(
@@ -137,36 +139,6 @@ def resilience_sweep(
             )
         )
     return cells
-
-
-def to_csv(cells: Sequence[ResilienceCell]) -> str:
-    """Render resilience cells as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=FIELDS)
-    writer.writeheader()
-    for cell in cells:
-        writer.writerow({
-            "mtbf": f"{cell.mtbf:.3f}",
-            "trial": cell.trial,
-            "seed": cell.seed,
-            "n_faults": cell.n_faults,
-            "n_failures": cell.n_failures,
-            "ok": int(cell.ok),
-            "fault_free_samples_per_second":
-                f"{cell.fault_free_samples_per_second:.3f}",
-            "goodput_samples_per_second":
-                f"{cell.goodput_samples_per_second:.3f}",
-            "goodput_ratio": f"{cell.goodput_ratio:.4f}",
-            "recovery_seconds": f"{cell.recovery_seconds:.6f}",
-            "lost_seconds": f"{cell.lost_seconds:.6f}",
-            "makespan": f"{cell.makespan:.6f}",
-        })
-    return buffer.getvalue()
-
-
-def save_csv(cells: Sequence[ResilienceCell], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(to_csv(cells))
 
 
 def pivot(cells: Sequence[ResilienceCell]) -> Dict[float, List[ResilienceCell]]:

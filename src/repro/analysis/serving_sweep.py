@@ -6,8 +6,9 @@ serving workload through the sweep runtime (each cell a
 content-addressed :class:`~repro.runtime.task.SimTask` with an
 ``InferenceConfig``), and record TTFT/TPOT percentiles, tokens/sec,
 spill volume, and the decode stall the overflow path exposed.  One
-row per policy, CSV export included, following
-:mod:`repro.analysis.sweep`.
+row per policy; :data:`COLUMNS` exports them through
+:func:`repro.analysis.reporting.to_csv`.  The task grid is the
+``serving-dgx1`` preset's (:func:`repro.runtime.presets.kv_grid_tasks`).
 
 The workload is identical across cells by construction — the
 serving scheduler never consults the transport — so spill volume is
@@ -17,16 +18,12 @@ paper's bandwidth argument on the serving side.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import io
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.inference.workload import InferenceConfig
+from repro.inference.workload import KV_MODES, InferenceConfig
 from repro.job import TrainingJob
-
-KV_MODES = ("d2d", "pcie", "none")
+from repro.runtime.presets import kv_grid_tasks
 
 
 @dataclass(frozen=True)
@@ -48,30 +45,11 @@ class ServingCell:
     preemptions: int
 
 
-FIELDS = ["kv_swap", "ok", "tokens_per_second", "ttft_p50", "ttft_p95",
-          "ttft_p99", "tpot_p50", "tpot_p95", "tpot_p99", "makespan",
-          "decode_stall_seconds", "swapped_bytes", "preemptions"]
-
-
-def serving_tasks(
-    job: TrainingJob,
-    config: InferenceConfig,
-    kv_modes: Sequence[str] = KV_MODES,
-    system: str = "mpress",
-) -> List["SimTask"]:
-    """The sweep's task list (one content-addressed cell per policy)."""
-    from repro.runtime.task import SimTask
-
-    tasks = []
-    for mode in kv_modes:
-        tasks.append(SimTask(
-            label=(f"serving-sweep/{job.server.name}"
-                   f"/{job.model.config.name}/kv={mode}"),
-            job=job,
-            system=system,
-            inference=dataclasses.replace(config, kv_swap=mode),
-        ))
-    return tasks
+COLUMNS = {"kv_swap": "", "ok": "d", "tokens_per_second": ".3f",
+           "ttft_p50": ".6f", "ttft_p95": ".6f", "ttft_p99": ".6f",
+           "tpot_p50": ".6f", "tpot_p95": ".6f", "tpot_p99": ".6f",
+           "makespan": ".6f", "decode_stall_seconds": ".6f",
+           "swapped_bytes": "", "preemptions": ""}
 
 
 def serving_sweep(
@@ -89,7 +67,9 @@ def serving_sweep(
     """
     from repro.runtime.pool import run_tasks
 
-    tasks = serving_tasks(job, config, kv_modes, system)
+    tasks = kv_grid_tasks(
+        f"serving-sweep/{job.server.name}/{job.model.config.name}",
+        job, config, kv_modes, system)
     records = run_tasks(tasks, runtime).records()
 
     cells: List[ServingCell] = []
@@ -121,32 +101,3 @@ def serving_sweep(
             preemptions=int(serving["preemptions"]),
         ))
     return cells
-
-
-def to_csv(cells: Sequence[ServingCell]) -> str:
-    """Render serving cells as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=FIELDS)
-    writer.writeheader()
-    for cell in cells:
-        writer.writerow({
-            "kv_swap": cell.kv_swap,
-            "ok": int(cell.ok),
-            "tokens_per_second": f"{cell.tokens_per_second:.3f}",
-            "ttft_p50": f"{cell.ttft_p50:.6f}",
-            "ttft_p95": f"{cell.ttft_p95:.6f}",
-            "ttft_p99": f"{cell.ttft_p99:.6f}",
-            "tpot_p50": f"{cell.tpot_p50:.6f}",
-            "tpot_p95": f"{cell.tpot_p95:.6f}",
-            "tpot_p99": f"{cell.tpot_p99:.6f}",
-            "makespan": f"{cell.makespan:.6f}",
-            "decode_stall_seconds": f"{cell.decode_stall_seconds:.6f}",
-            "swapped_bytes": cell.swapped_bytes,
-            "preemptions": cell.preemptions,
-        })
-    return buffer.getvalue()
-
-
-def save_csv(cells: Sequence[ServingCell], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(to_csv(cells))

@@ -1,19 +1,22 @@
 """Experiment sweeps: run grids of (model, system) cells and export.
 
 A driver that collects one row per (model, system) cell — what the
-figure benches do by hand — plus CSV export so results feed external
-plotting.  Cells execute through :mod:`repro.runtime`, so a sweep
-inherits process-pool parallelism and content-addressed caching; pass
-a configured :class:`~repro.runtime.SweepRuntime` to turn those on.
+figure benches do by hand — plus the column tables that export a
+sweep (:data:`COLUMNS`) and a runtime record list
+(:data:`RECORD_COLUMNS`) through
+:func:`repro.analysis.reporting.to_csv`.  Cells execute through
+:mod:`repro.runtime`, so a sweep inherits process-pool parallelism
+and content-addressed caching; pass a configured
+:class:`~repro.runtime.SweepRuntime` to turn those on.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.reporting import to_csv
 from repro.job import TrainingJob
 
 
@@ -34,8 +37,13 @@ class SweepCell:
         return f"{self.tflops:.0f}" if self.ok else "OOM"
 
 
-FIELDS = ["model", "system", "ok", "tflops", "samples_per_second",
-          "minibatch_time", "peak_gib"]
+COLUMNS = {"model": "", "system": "", "ok": "d", "tflops": ".3f",
+           "samples_per_second": ".3f", "minibatch_time": ".6f",
+           "peak_gib": ".3f"}
+
+# The same table for runtime records, keyed by task label.
+RECORD_COLUMNS = {"label": "", **{name: spec for name, spec in COLUMNS.items()
+                                  if name != "model"}}
 
 
 def sweep_tasks(
@@ -86,64 +94,31 @@ def cells_from_records(
 def run_sweep(
     jobs: Dict[str, TrainingJob],
     systems: Sequence[str],
-    runner: Optional[Callable] = None,
     runtime: Optional["SweepRuntime"] = None,
 ) -> List[SweepCell]:
     """Run every (job, system) cell of the grid.
 
-    By default cells route through :mod:`repro.runtime` (serial,
-    uncached); pass ``runtime`` for parallelism and caching.  A
-    custom ``runner`` callable (legacy interface, used to stub the
-    simulator in tests) bypasses the runtime entirely.
+    Cells route through :mod:`repro.runtime` (serial, uncached by
+    default); pass ``runtime`` for parallelism and caching.
     """
-    if runner is not None:
-        cells: List[SweepCell] = []
-        for model_name, job in jobs.items():
-            for system in systems:
-                result = runner(job, system)
-                simulation = result.simulation
-                peak = (max(simulation.peak_memory_per_gpu)
-                        if simulation.ok else 0)
-                cells.append(
-                    SweepCell(
-                        model=model_name,
-                        system=system,
-                        ok=result.ok,
-                        tflops=result.tflops,
-                        samples_per_second=result.samples_per_second,
-                        minibatch_time=simulation.minibatch_time,
-                        peak_gib=peak / 2**30,
-                    )
-                )
-        return cells
-
     from repro.runtime.pool import run_tasks
 
     report = run_tasks(sweep_tasks(jobs, systems), runtime)
     return cells_from_records(jobs, systems, report.records())
 
 
-def to_csv(cells: Sequence[SweepCell]) -> str:
-    """Render sweep cells as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=FIELDS)
-    writer.writeheader()
-    for cell in cells:
-        writer.writerow({
-            "model": cell.model,
-            "system": cell.system,
-            "ok": int(cell.ok),
-            "tflops": f"{cell.tflops:.3f}",
-            "samples_per_second": f"{cell.samples_per_second:.3f}",
-            "minibatch_time": f"{cell.minibatch_time:.6f}",
-            "peak_gib": f"{cell.peak_gib:.3f}",
-        })
-    return buffer.getvalue()
+def records_to_csv(records: Sequence[Optional[Dict]]) -> str:
+    """CSV text of runtime records, one row per task that finished.
 
+    Two runs of the same grid produce byte-identical files whenever
+    their records match — the property the cache-roundtrip CI job
+    asserts on ``repro sweep --csv``.
+    """
+    from repro.runtime.task import peak_gib
 
-def save_csv(cells: Sequence[SweepCell], path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(to_csv(cells))
+    return to_csv([SimpleNamespace(**record, peak_gib=peak_gib(record))
+                   for record in records if record is not None],
+                  RECORD_COLUMNS)
 
 
 def pivot(cells: Sequence[SweepCell]) -> Dict[str, Dict[str, SweepCell]]:

@@ -36,8 +36,23 @@ from repro.models.gpt import GPT_VARIANTS
 from repro.units import fmt_bytes
 
 
+def _degree(least: int):
+    """argparse type of a parallel degree: an integer >= ``least``.
+
+    The CLI twin of jobspec's rule for specs: nodes, tp and dp are at
+    least 1, and pp at least 0 (0 picks the depth).
+    """
+    def degree(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}, got {value}")
+        return value
+    return degree
+
+
 def _require_single_node(args, command: str) -> None:
-    nodes = getattr(args, "nodes", 1) or 1
+    nodes = args.nodes
     if nodes > 1:
         raise ConfigurationError(
             f"'{command}' simulates one server, but --nodes {nodes} asks "
@@ -55,7 +70,7 @@ def _cluster_path(args, explicit: bool) -> bool:
         raise ConfigurationError(
             "--sp shards a tensor-parallel group's activations; "
             "it needs --tp > 1")
-    return explicit or (args.nodes or 1) > 1 or args.tp > 1
+    return explicit or args.nodes > 1 or args.tp > 1
 
 
 def _build_job(args) -> TrainingJob:
@@ -301,6 +316,7 @@ def _cmd_hybrid(args) -> int:
         run_cluster,
         run_hybrid,
     )
+    from repro.parallel.hybrid import replica_oom
     from repro.units import MiB
 
     cluster_path = _cluster_path(args, explicit=args.pp != 0)
@@ -323,10 +339,12 @@ def _cmd_hybrid(args) -> int:
                                sequence_parallel=args.sp,
                                placement_mode=args.cluster_placement, **sync)
         result = run_cluster(job, cluster, config, system=args.system)
+        oom = result.oom
     else:
         config = HybridConfig(dp=args.dp, placement_mode=args.placement,
                               **sync)
         result = run_hybrid(job, config, system=args.system)
+        oom = replica_oom(result)     # the wording of hybrid task records
     status = "ok" if result.ok else "OUT OF MEMORY"
     print(f"{job.model.config.name} / tp={result.tp} dp={result.dp} "
           f"pp={result.pp} {args.system} on {result.cluster.name}: {status}")
@@ -335,7 +353,7 @@ def _cmd_hybrid(args) -> int:
         for replica in result.placement.chains)
     print(f"  placement ({result.placement.mode}): {chains}")
     if not result.ok:
-        print(f"  {result.oom}")
+        print(f"  {oom}")
         return 1
     print(f"  throughput: {result.tflops:.1f} TFLOPS "
           f"({result.samples_per_second:.1f} samples/s, "
@@ -415,7 +433,8 @@ def _sweep_runtime(args):
 
 def _cmd_sweep(args) -> int:
     from repro.analysis.reporting import format_table
-    from repro.runtime import peak_gib, records_to_csv
+    from repro.analysis.sweep import records_to_csv
+    from repro.runtime import peak_gib
     from repro.runtime.presets import preset_tasks
 
     if args.preset:
@@ -430,7 +449,7 @@ def _cmd_sweep(args) -> int:
             spec = spec.strip()
             jobs[spec] = job_from_spec({"model": spec, "server": args.server,
                                         "pipeline": args.pipeline})
-        if (getattr(args, "nodes", 1) or 1) > 1:
+        if args.nodes > 1:
             # Cluster sweep: the TP x DP x PP shape grid per model.
             from repro.analysis.cluster_scaling import cluster_scaling_tasks
 
@@ -577,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--server", default="dgx1", choices=sorted(SERVERS))
         p.add_argument("--pipeline", default=None, choices=tuple(PIPELINES))
         p.add_argument("--microbatch", type=int, default=None)
-        p.add_argument("--nodes", type=int, default=1, metavar="N",
+        p.add_argument("--nodes", type=_degree(1), default=1, metavar="N",
                        help="server count (N>1 builds a cluster over --fabric)")
         p.add_argument("--fabric", default="ib-edr",
                        choices=("ib-edr", "ib-hdr", "eth-100g"),
@@ -607,11 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="build and save a memory-saving plan")
     add_job_args(plan)
-    plan.add_argument("--tp", type=int, default=1,
+    plan.add_argument("--tp", type=_degree(1), default=1,
                       help="tensor-parallel degree (plan one sharded chain)")
-    plan.add_argument("--dp", type=int, default=1,
+    plan.add_argument("--dp", type=_degree(1), default=1,
                       help="data-parallel degree (placement context)")
-    plan.add_argument("--pp", type=int, default=0,
+    plan.add_argument("--pp", type=_degree(0), default=0,
                       help="pipeline depth (0 = fill the replica block)")
     plan.add_argument("--sp", action="store_true",
                       help="sequence parallelism (with --tp)")
@@ -669,12 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_job_args(hybrid)
     hybrid.add_argument("--system", default="mpress", choices=SYSTEMS,
                         help="per-replica memory-saving system")
-    hybrid.add_argument("--dp", type=int, default=2,
+    hybrid.add_argument("--dp", type=_degree(1), default=2,
                         help="data-parallel degree (replica count)")
-    hybrid.add_argument("--tp", type=int, default=1,
+    hybrid.add_argument("--tp", type=_degree(1), default=1,
                         help="tensor-parallel degree (>1 runs the 3D "
                              "cluster path, see docs/cluster.md)")
-    hybrid.add_argument("--pp", type=int, default=0,
+    hybrid.add_argument("--pp", type=_degree(0), default=0,
                         help="pipeline depth on the cluster path "
                              "(0 = fill each replica block)")
     hybrid.add_argument("--sp", action="store_true",
@@ -716,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--models", default=None,
                        help="comma list, e.g. bert-0.64,gpt-5.3")
     sweep.add_argument("--server", default="dgx1", choices=sorted(SERVERS))
-    sweep.add_argument("--nodes", type=int, default=1, metavar="N",
+    sweep.add_argument("--nodes", type=_degree(1), default=1, metavar="N",
                        help="with --models: sweep TP x DP x PP shapes over "
                             "an N-server cluster")
     sweep.add_argument("--fabric", default="ib-edr",

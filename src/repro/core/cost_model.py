@@ -47,21 +47,6 @@ class TensorCosts:
             return None
         return max(0.0, self.d2d_swap - self.live_interval)
 
-    def cheapest_action(self) -> str:
-        """Name of the lowest-extra-overhead applicable technique.
-
-        Ties break toward the technique that does not consume scarce
-        spare GPU memory (the paper's t3 reasoning: prefer
-        recomputation over D2D at equal overhead).
-        """
-        options = [("cpu-swap", self.cpu_swap_extra)]
-        if self.recompute_extra is not None:
-            options.append(("recompute", self.recompute_extra))
-        if self.d2d_swap_extra is not None:
-            options.append(("d2d-swap", self.d2d_swap_extra))
-        priority = {"cpu-swap": 0, "recompute": 1, "d2d-swap": 2}
-        return min(options, key=lambda kv: (kv[1], priority[kv[0]]))[0]
-
 
 class CostModel:
     """Prices memory-saving actions for one training job."""

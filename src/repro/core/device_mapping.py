@@ -81,12 +81,6 @@ class MappingResult:
     distinct_evaluations: int = 0               # distinct lane sub-matrices in it
     bound_pruned: int = 0                       # sub-matrices cut short by the bound
 
-    def importer_budget(self, importer_stage: int) -> int:
-        """Total bytes assigned into one importing stage."""
-        return sum(
-            alloc.get(importer_stage, 0) for alloc in self.assignments.values()
-        )
-
 
 @dataclass(frozen=True)
 class _Evaluation:

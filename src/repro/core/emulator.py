@@ -34,12 +34,6 @@ class EmulationReport:
     def fits(self) -> bool:
         return not self.overflowed_devices
 
-    def slowdown_vs(self, baseline_time: float) -> float:
-        """Relative extra time vs the uncompacted baseline."""
-        if baseline_time <= 0:
-            return 0.0
-        return self.minibatch_time / baseline_time - 1.0
-
 
 class Emulator:
     """Runs plans through the simulator in measurement mode.

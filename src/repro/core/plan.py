@@ -116,14 +116,6 @@ class MemorySavingPlan:
             stages[entry.action].add(entry.cls.stage)
         return {action: sorted(s) for action, s in stages.items()}
 
-    def d2d_bytes_into(self, importer: int) -> int:
-        """Peak bytes this plan parks on ``importer`` via D2D swap."""
-        total = 0
-        for entry in self.entries.values():
-            if entry.action is Action.D2D_SWAP and entry.stripe is not None:
-                total += entry.stripe.bytes_to(importer) * entry.cls.instances
-        return total
-
     def summary(self) -> str:
         lines = [f"device map: {self.device_map}"]
         saved = self.saved_by_action()

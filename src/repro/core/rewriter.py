@@ -32,17 +32,6 @@ class InstrumentedProgram:
     program: Program
     plan: MemorySavingPlan
 
-    def actions_by_stage(self) -> Dict[int, Dict[str, List[int]]]:
-        """Stage -> action name -> affected layer indices (for reports)."""
-        table: Dict[int, Dict[str, List[int]]] = {}
-        for entry in self.plan.entries.values():
-            stage_row = table.setdefault(entry.cls.stage, {})
-            stage_row.setdefault(entry.action.value, []).append(entry.cls.layer)
-        for stage_row in table.values():
-            for layers in stage_row.values():
-                layers.sort()
-        return table
-
 
 class Rewriter:
     """Builds validated plans from raw assignments."""

@@ -82,20 +82,6 @@ class Program:
                 first[node.minibatch] = node
         return first
 
-    def predecessor_on_stage(self, node: ComputeNode, lead: int) -> Optional[ComputeNode]:
-        """The compute node ``lead`` positions before ``node`` on its stage.
-
-        Used to anchor swap-in prefetches: a swap-in may begin once
-        this predecessor finishes, keeping the copy off the critical
-        path (Section III-A's overlap requirement).
-        """
-        if lead < 1:
-            raise ScheduleError("prefetch lead must be >= 1")
-        position = node.order - lead
-        if position < 0:
-            return None
-        return self.per_stage[node.stage][position]
-
 
 def build_program(stage_plan: StagePlan, schedule: PipelineSchedule) -> Program:
     """Lower a schedule into compute nodes with cross-stage edges.

@@ -36,15 +36,3 @@ def effective_bandwidth(size_bytes: int, link: LinkSpec, lanes: int = 1) -> floa
     if size_bytes <= 0:
         raise ConfigurationError("effective bandwidth needs a positive size")
     return size_bytes / transfer_time(size_bytes, link, lanes)
-
-
-def striped_transfer_time(block_sizes, link: LinkSpec) -> float:
-    """Time for a striped transfer whose sub-blocks move concurrently.
-
-    Each sub-block travels over its own lane; completion time is the
-    slowest lane.  ``block_sizes`` is an iterable of byte counts.
-    """
-    sizes = list(block_sizes)
-    if not sizes:
-        raise ConfigurationError("striped transfer needs at least one block")
-    return max(transfer_time(int(size), link, lanes=1) for size in sizes)

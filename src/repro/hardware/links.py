@@ -121,13 +121,3 @@ ETH_100G = LinkSpec(
 )
 
 FABRICS = {"ib-edr": IB_EDR, "ib-hdr": IB_HDR, "eth-100g": ETH_100G}
-
-
-def nvme_link(read_bandwidth: float, latency: float = 80 * US) -> LinkSpec:
-    """Build a LinkSpec describing an NVMe device's transfer path."""
-    return LinkSpec(
-        link_type=LinkType.NVME,
-        peak_bandwidth=read_bandwidth,
-        efficiency=1.0,
-        latency=latency,
-    )

@@ -211,16 +211,6 @@ class ServingCost:
         hbm = (priced.weight_bytes + kv_read) / priced.hbm_bandwidth
         return max(compute, hbm), prefill, decode
 
-    def stage_duration(
-        self,
-        stage: int,
-        prefill_tokens: Sequence[int],
-        decode_contexts: Sequence[int],
-    ) -> float:
-        """One continuous-batching iteration's time on one stage
-        (see :meth:`price_iteration`)."""
-        return self.price_iteration(stage, prefill_tokens, decode_contexts)[0]
-
     def boundary_bytes(self, tokens: int) -> int:
         """Activation bytes crossing a stage boundary for ``tokens``."""
         if tokens <= 0:

@@ -192,16 +192,6 @@ class KVBlockManager:
             freed += self._release(bid, now)
         return freed
 
-    def drop_prefix(self, prefix_key: str, now: float) -> int:
-        """Evict a cached prefix from the index (radix-cache eviction)."""
-        shared = self._prefix_index.pop(prefix_key, None)
-        if shared is None:
-            raise SimulationError(f"prefix {prefix_key!r} not cached")
-        freed = 0
-        for bid in shared:
-            freed += self._release(bid, now)
-        return freed
-
     def check_books(self) -> None:
         """Assert the ledger and the DeviceMemory book agree exactly."""
         booked = self.book.usage_by_tag().get(self.tag, 0)

@@ -13,7 +13,7 @@ from repro.inference.scheduler import ServingTape
 from repro.inference.workload import InferenceConfig
 from repro.models.layers import ModelSpec
 from repro.sim.fastpath import run_program
-from repro.sim.interpreter import Interpreter, SimulationResult
+from repro.sim.interpreter import SimulationResult
 from repro.sim.ir import ExecOptions
 
 
@@ -32,19 +32,14 @@ def run_serving(
     server: Server,
     config: InferenceConfig,
     options: Optional[ExecOptions] = None,
-    reference: bool = False,
 ) -> ServingOutcome:
     """Simulate one serving episode end to end.
 
-    ``reference=True`` forces the event-driven reference interpreter;
-    the default dispatches through :func:`repro.sim.fastpath.run_program`
-    exactly like training runs do (fast tape replay when eligible).
+    Dispatches through :func:`repro.sim.fastpath.run_program` exactly
+    like training runs do (fast tape replay when eligible).
     """
     program, tape, cost = build_serving_program(model, server, config, options)
-    if reference:
-        simulation = Interpreter(program).run()
-    else:
-        simulation = run_program(program)
+    simulation = run_program(program)
     metrics = compute_metrics(simulation, tape, config)
     return ServingOutcome(simulation=simulation, metrics=metrics,
                           tape=tape, cost=cost)

@@ -23,7 +23,9 @@ from typing import List, Optional, Tuple
 from repro.errors import ConfigurationError
 
 _ARRIVALS = ("poisson", "uniform", "trace")
-_KV_SWAPS = ("d2d", "pcie", "none")
+# KV overflow policies: stripe to spare GPUs, spill to host, or preempt
+# and re-prefill.  The serving sweep grid is all three.
+KV_MODES = ("d2d", "pcie", "none")
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,9 @@ class InferenceConfig:
         if self.arrival not in _ARRIVALS:
             raise ConfigurationError(
                 f"unknown arrival model {self.arrival!r}; options: {sorted(_ARRIVALS)}")
-        if self.kv_swap not in _KV_SWAPS:
+        if self.kv_swap not in KV_MODES:
             raise ConfigurationError(
-                f"unknown kv_swap {self.kv_swap!r}; options: {sorted(_KV_SWAPS)}")
+                f"unknown kv_swap {self.kv_swap!r}; options: {sorted(KV_MODES)}")
         if (self.trace is not None) != (self.arrival == "trace"):
             raise ConfigurationError(
                 'trace-driven workloads need both arrival="trace" and a trace')

@@ -78,3 +78,11 @@ def run_hybrid(job: TrainingJob, config: Optional[HybridConfig] = None,
     cluster = Cluster(name=job.server.name, servers=(job.server,))
     return run_placed(job, cluster, config.cluster_config(), placement,
                       system)
+
+
+def replica_oom(result: ClusterResult) -> Optional[str]:
+    """A hybrid run's OOM line: ``replica N: …`` for the first replica
+    that did not fit (every replica is one tp=1 chain)."""
+    return next((f"replica {index}: {chains[0].simulation.oom}"
+                 for index, chains in enumerate(result.chains)
+                 if not chains[0].ok), None)

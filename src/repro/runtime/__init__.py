@@ -37,7 +37,6 @@ from repro.runtime.task import (
     SimTask,
     execute_task,
     peak_gib,
-    records_to_csv,
     trace_digest,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "SimTask",
     "execute_task",
     "peak_gib",
-    "records_to_csv",
     "trace_digest",
 ]

@@ -3,17 +3,23 @@
 One definition per figure, shared by the CLI (``repro sweep --preset
 fig9``) and the benchmark suite, so the grid a benchmark asserts on
 is exactly the grid a user can run — and both hit the same cache
-entries.
+entries.  The DP, shape and KV-policy grids are built by
+:func:`dp_grid_tasks`, :func:`shape_grid_tasks` and
+:func:`kv_grid_tasks`, which the matching :mod:`repro.analysis`
+sweeps call too; a preset and a sweep differ only in their label
+prefix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import dataclasses
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.planner import PlannerConfig
 from repro.hardware.cluster import Cluster, dgx1_cluster
 from repro.hardware.server import Server, dgx1_server, dgx2_server
-from repro.job import dapple_job, pipedream_job
+from repro.inference.workload import KV_MODES, InferenceConfig
+from repro.job import TrainingJob, dapple_job, pipedream_job
 from repro.models import bert_variant, gpt_variant
 from repro.parallel.cluster import ClusterConfig
 from repro.parallel.hybrid import HybridConfig
@@ -82,30 +88,48 @@ def fig9_tasks(servers=None) -> List[SimTask]:
     return tasks
 
 
-# Hybrid DP x PP scaling grid: replica counts on one DGX-1.
-HYBRID_DP_GRID = (1, 2, 4)
-HYBRID_SYSTEM = "recomputation"
+# Hybrid DP x PP scaling grid: replica counts on one server.
+DP_GRID = (1, 2, 4)
+DP_SYSTEM = "recomputation"
+
+
+def dp_grid_tasks(prefix: str, job: TrainingJob,
+                  dp_grid: Sequence[int] = DP_GRID,
+                  system: str = DP_SYSTEM, **knobs) -> List[SimTask]:
+    """One hybrid task per replica count, labelled ``{prefix}/dp={dp}``.
+
+    ``knobs`` are further :class:`HybridConfig` fields.
+    """
+    return [SimTask(label=f"{prefix}/dp={dp}", job=job, system=system,
+                    hybrid=HybridConfig(dp=dp, **knobs))
+            for dp in dp_grid]
 
 
 def hybrid_tasks(server: Server = None, billions: float = 0.35) -> List[SimTask]:
     """DP-scaling grid: Bert x replica counts (PipeDream, per-replica)."""
     server = server if server is not None else dgx1_server()
-    job = pipedream_job(bert_variant(billions), server)
-    tasks = []
-    for dp in HYBRID_DP_GRID:
-        tasks.append(SimTask(
-            label=f"hybrid/{server.name}/bert-{billions}/dp={dp}",
-            job=job,
-            system=HYBRID_SYSTEM,
-            hybrid=HybridConfig(dp=dp),
-        ))
-    return tasks
+    return dp_grid_tasks(f"hybrid/{server.name}/bert-{billions}",
+                         pipedream_job(bert_variant(billions), server))
 
 
-# 3D-parallelism grid: GPT-5.3B on a 2-server DGX-1 cluster, TP x DP
-# shapes with the pipeline depth filling the remainder of each block.
+# 3D-parallelism grid: TP x DP shapes on a 2-server DGX-1 cluster, the
+# pipeline depth filling the remainder of each block.
 CLUSTER_SHAPES = ((1, 2, 4), (2, 2, 2), (2, 4, 2), (4, 2, 2))
-CLUSTER_SYSTEM = "mpress"
+
+
+def shape_grid_tasks(prefix: str, job: TrainingJob, cluster: Cluster,
+                     shapes: Sequence[Tuple[int, int, int]] = CLUSTER_SHAPES,
+                     system: str = "mpress", **knobs) -> List[SimTask]:
+    """One cluster task per (tp, dp, pp) shape, labelled
+    ``{prefix}/tp={tp},dp={dp},pp={pp}``.
+
+    ``knobs`` are further :class:`ClusterConfig` fields.
+    """
+    return [SimTask(label=f"{prefix}/tp={tp},dp={dp},pp={pp}", job=job,
+                    system=system, cluster=cluster,
+                    cluster_config=ClusterConfig(tp=tp, dp=dp, pp=pp,
+                                                 **knobs))
+            for tp, dp, pp in shapes]
 
 
 def cluster_tasks(cluster: Cluster = None,
@@ -114,46 +138,33 @@ def cluster_tasks(cluster: Cluster = None,
     cluster = cluster if cluster is not None else dgx1_cluster(2)
     job = dapple_job(gpt_variant(billions), cluster.servers[0],
                      n_minibatches=2)
-    tasks = []
-    for tp, dp, pp in CLUSTER_SHAPES:
-        tasks.append(SimTask(
-            label=(f"cluster/{cluster.name}/gpt-{billions}"
-                   f"/tp={tp},dp={dp},pp={pp}"),
-            job=job,
-            system=CLUSTER_SYSTEM,
-            cluster=cluster,
-            cluster_config=ClusterConfig(tp=tp, dp=dp, pp=pp),
-        ))
-    return tasks
+    return shape_grid_tasks(f"cluster/{cluster.name}/gpt-{billions}", job,
+                            cluster)
 
 
-# Serving grid: one workload, the three KV overflow policies.  The
-# pool is capped well below the workload's KV footprint so every
-# policy actually exercises its overflow path (D2D stripes to spare
-# GPUs, PCIe spills to host, "none" preempts and re-prefills).
-SERVING_KV_MODES = ("d2d", "pcie", "none")
+# Serving grid: one workload under every KV overflow policy (KV_MODES).
+def kv_grid_tasks(prefix: str, job: TrainingJob, config: InferenceConfig,
+                  kv_modes: Sequence[str] = KV_MODES,
+                  system: str = "mpress") -> List[SimTask]:
+    """One serving task per KV policy, labelled ``{prefix}/kv={mode}``."""
+    return [SimTask(label=f"{prefix}/kv={mode}", job=job, system=system,
+                    inference=dataclasses.replace(config, kv_swap=mode))
+            for mode in kv_modes]
 
 
 def serving_tasks(server: Server = None, billions: float = 5.3) -> List[SimTask]:
-    """Serving grid: GPT x KV-swap policies under a tight KV pool."""
-    from repro.inference import InferenceConfig
+    """Serving grid: GPT x KV policies under a tight KV pool.
 
+    The pool is capped well below the workload's KV footprint so
+    every policy actually exercises its overflow path.
+    """
     server = server if server is not None else dgx1_server()
-    job = dapple_job(gpt_variant(billions), server)
-    tasks = []
-    for mode in SERVING_KV_MODES:
-        tasks.append(SimTask(
-            label=f"serving/{server.name}/gpt-{billions}/kv={mode}",
-            job=job,
-            system="mpress",
-            inference=InferenceConfig(
-                seed=3, n_requests=10, arrival_rate=32.0,
-                prompt_mean=128, prompt_max=256,
-                output_mean=24, output_max=64,
-                max_batch=6, kv_swap=mode, kv_pool_mib=199,
-            ),
-        ))
-    return tasks
+    config = InferenceConfig(seed=3, n_requests=10, arrival_rate=32.0,
+                             prompt_mean=128, prompt_max=256,
+                             output_mean=24, output_max=64,
+                             max_batch=6, kv_pool_mib=199)
+    return kv_grid_tasks(f"serving/{server.name}/gpt-{billions}",
+                         dapple_job(gpt_variant(billions), server), config)
 
 
 PRESETS = {

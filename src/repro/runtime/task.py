@@ -287,7 +287,7 @@ def _execute_zero(task: SimTask) -> Dict:
 
 
 def _execute_hybrid(task: SimTask) -> Dict:
-    from repro.parallel.hybrid import run_hybrid
+    from repro.parallel.hybrid import replica_oom, run_hybrid
 
     result = run_hybrid(task.job, task.hybrid, system=task.system)
     replicas = [chains[0] for chains in result.chains]      # tp == 1
@@ -297,9 +297,7 @@ def _execute_hybrid(task: SimTask) -> Dict:
             replica.planner_report.feasible for replica in replicas),
         peaks=result.peak_memory_per_gpu(),
         trace=replicas[0].simulation.trace,
-        oom=next((f"replica {index}: {replica.simulation.oom}"
-                  for index, replica in enumerate(replicas)
-                  if not replica.ok), None),
+        oom=replica_oom(result),
         hybrid={
             "dp": result.dp,
             "placement_mode": result.placement.mode,
@@ -462,35 +460,3 @@ def peak_gib(record: Dict) -> float:
     """Largest per-GPU peak of a record, in GiB (0.0 for OOM cells)."""
     peaks = record.get("peak_bytes_per_gpu") or []
     return max(peaks) / 2**30 if peaks else 0.0
-
-
-RECORD_CSV_FIELDS = ["label", "system", "ok", "tflops", "samples_per_second",
-                     "minibatch_time", "peak_gib"]
-
-
-def records_to_csv(records) -> str:
-    """Render runtime records as CSV text (one row per task).
-
-    Formatting matches :func:`repro.analysis.sweep.to_csv`, so two
-    runs of the same grid produce byte-identical files whenever their
-    records match — the property the cache-roundtrip CI job asserts.
-    """
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=RECORD_CSV_FIELDS)
-    writer.writeheader()
-    for record in records:
-        if record is None:
-            continue
-        writer.writerow({
-            "label": record["label"],
-            "system": record["system"],
-            "ok": int(bool(record["ok"])),
-            "tflops": f"{record['tflops']:.3f}",
-            "samples_per_second": f"{record['samples_per_second']:.3f}",
-            "minibatch_time": f"{record['minibatch_time']:.6f}",
-            "peak_gib": f"{peak_gib(record):.3f}",
-        })
-    return buffer.getvalue()

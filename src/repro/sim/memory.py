@@ -141,14 +141,6 @@ class MemoryModel:
     def overflowed_gpus(self) -> List[int]:
         return [i for i, gpu in enumerate(self.gpus) if gpu.overflow > 0]
 
-    def imbalance_ratio(self) -> float:
-        """Most-used over least-used per-GPU peak (the paper's 7.9x)."""
-        peaks = self.peaks()
-        least = min(peaks)
-        if least <= 0:
-            return float("inf") if max(peaks) > 0 else 1.0
-        return max(peaks) / least
-
 
 @dataclass
 class PinnedPool:

@@ -75,15 +75,6 @@ class Trace:
     def total_time(self, kind: str) -> float:
         return sum(e.duration for e in self.by_kind(kind))
 
-    def gantt_rows(self) -> Dict[int, List[Tuple[str, float, float]]]:
-        """Per-device (kind, start, end) rows for timeline rendering."""
-        rows: Dict[int, List[Tuple[str, float, float]]] = {}
-        for event in self.events:
-            rows.setdefault(event.device, []).append((event.kind, event.start, event.end))
-        for device_rows in rows.values():
-            device_rows.sort(key=lambda row: row[1])
-        return rows
-
     def render_timeline(self, width: int = 80, kinds: Tuple[str, ...] = ("fwd", "bwd")) -> str:
         """ASCII timeline in the style of the paper's Figure 1.
 

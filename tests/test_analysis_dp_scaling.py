@@ -3,10 +3,11 @@
 import pytest
 
 from repro.analysis.dp_scaling import (
+    COLUMNS,
     dp_scaling_sweep,
     dp_scaling_tasks,
-    to_csv,
 )
+from repro.analysis.reporting import to_csv
 from repro.runtime import ResultCache, RuntimeConfig, SweepRuntime
 
 from tests.conftest import tiny_job
@@ -59,7 +60,7 @@ def test_sweep_caches_like_any_other(tmp_path):
 
 
 def test_csv_round_trip(cells):
-    text = to_csv(cells)
+    text = to_csv(cells, COLUMNS)
     lines = text.strip().splitlines()
     assert lines[0].startswith("dp,ok,samples_per_second")
     assert len(lines) == 1 + len(cells)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.resilience import pivot, resilience_sweep, to_csv
+from repro.analysis.reporting import to_csv
+from repro.analysis.resilience import COLUMNS, pivot, resilience_sweep
 
 from tests.conftest import tiny_job
 
@@ -39,7 +40,7 @@ def test_sweep_is_reproducible(cells):
 
 
 def test_csv_round_trip(cells):
-    text = to_csv(cells)
+    text = to_csv(cells, COLUMNS)
     lines = text.strip().splitlines()
     assert lines[0].startswith("mtbf,trial,seed")
     assert len(lines) == 1 + len(cells)

@@ -3,7 +3,8 @@
 import csv
 import io
 
-from repro.analysis.sweep import pivot, run_sweep, save_csv, to_csv
+from repro.analysis.reporting import save_csv, to_csv
+from repro.analysis.sweep import COLUMNS, pivot, run_sweep
 
 from tests.conftest import tiny_job
 
@@ -28,7 +29,7 @@ def test_cell_rendering():
 
 def test_csv_round_trip():
     cells = _cells()
-    text = to_csv(cells)
+    text = to_csv(cells, COLUMNS)
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == len(cells)
     assert rows[0]["model"] == "tiny"
@@ -37,7 +38,7 @@ def test_csv_round_trip():
 
 def test_save_csv(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    save_csv(_cells(), path)
+    save_csv(_cells(), COLUMNS, path)
     with open(path) as handle:
         assert handle.readline().startswith("model,system")
 

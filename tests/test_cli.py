@@ -574,3 +574,54 @@ class TestSingleNodeGuard:
         code = main(["profile", "--model", "bert-0.35", "--nodes", "3"])
         assert code == 2
         assert "--nodes 3" in capsys.readouterr().err
+
+
+class TestParallelDegreeFlags:
+    """--nodes/--tp/--dp must be >= 1 and --pp >= 0, checked at parse
+    time (jobspec's rule for specs); a bad value exits 2 naming it."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--nodes", "0"], "--nodes"),
+        (["profile", "--nodes", "-3"], "--nodes"),
+        (["plan", "--nodes", "0"], "--nodes"),
+        (["plan", "--tp", "0"], "--tp"),
+        (["plan", "--dp", "0"], "--dp"),
+        (["plan", "--pp", "-1"], "--pp"),
+        (["hybrid", "--nodes", "-3"], "--nodes"),
+        (["hybrid", "--tp", "0", "--dp", "2"], "--tp"),
+        (["hybrid", "--dp", "0"], "--dp"),
+        (["hybrid", "--pp", "-2"], "--pp"),
+        (["autoplan", "--nodes", "0"], "--nodes"),
+        (["sweep", "--nodes", "0"], "--nodes"),
+        (["sweep", "--nodes", "-3"], "--nodes"),
+    ])
+    def test_bad_degree_exits_2_naming_the_flag(self, capsys, argv, flag):
+        model = [] if argv[0] == "sweep" else ["--model", "bert-0.35"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, *model])
+        assert info.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    def test_smallest_legal_degrees_parse(self):
+        args = build_parser().parse_args(
+            ["hybrid", "--model", "bert-0.35", "--nodes", "1", "--tp", "1",
+             "--dp", "1", "--pp", "0"])
+        assert (args.nodes, args.tp, args.dp, args.pp) == (1, 1, 1, 0)
+
+
+class TestHybridOomWording:
+    def test_cli_prints_the_task_records_oom_line(self, capsys):
+        from repro.jobspec import job_from_spec
+        from repro.parallel.hybrid import HybridConfig
+        from repro.runtime.task import SimTask, execute_task
+
+        code = main(["hybrid", "--model", "bert-0.64", "--dp", "4",
+                     "--system", "none"])
+        assert code == 1
+        out = capsys.readouterr().out
+        job = job_from_spec({"model": "bert-0.64", "server": "dgx1"})
+        record = execute_task(SimTask(label="oom", job=job, system="none",
+                                      hybrid=HybridConfig(dp=4)))
+        assert record["oom"].startswith("replica 0: device gpu0: ")
+        assert f"  {record['oom']}\n" in out
+        assert "tp-rank" not in out

@@ -93,23 +93,6 @@ class TestExtraOverhead:
         assert costs.cpu_swap_extra == pytest.approx(0.4)
         assert costs.d2d_swap_extra == pytest.approx(0.1)
 
-    def test_cheapest_action_table3_t1(self):
-        # Long interval: CPU swap is free, so it wins and D2D is kept
-        # for tenser cases (the paper's t1 reasoning).
-        costs = TensorCosts(("activation", 0, 1), 1.0, 0.004, 0.042, 0.006)
-        assert costs.cheapest_action() == "cpu-swap"
-
-    def test_cheapest_action_table3_t2(self):
-        # Short interval: both swaps exposed, recompute costs 3 ms,
-        # D2D 3 ms exposed-free if hidden... here D2D hides fully.
-        costs = TensorCosts(("activation", 0, 1), 0.016, 0.003, 0.022, 0.003)
-        assert costs.cheapest_action() == "d2d-swap"
-
-    def test_cheapest_action_prefers_not_spending_gpu_memory(self):
-        # Equal overheads: recompute preferred over D2D (paper's t3).
-        costs = TensorCosts(("activation", 0, 1), 0.002, 0.004, 0.042, 0.006)
-        assert costs.cheapest_action() == "recompute"
-
     def test_extra_overhead_by_action(self, profiled):
         _, profile, model = profiled
         cls = _first_act(profile)

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.core.device_mapping import (
-    MappingResult,
     _lane_matrix,
     _orbit_minima,
     assign_spare_memory,
@@ -111,15 +110,6 @@ class TestSearch:
         result = search_device_mapping(topo, overflow, spare, mode="greedy")
         assert result.device_map[0] == 0
         assert result.mappings_evaluated == 5040
-
-    def test_importer_budget_helper(self):
-        result = MappingResult(
-            device_map=[0, 1],
-            score=1.0,
-            placed_fraction=1.0,
-            assignments={0: {1: 100}, 2: {1: 50}},
-        )
-        assert result.importer_budget(1) == 150
 
     def test_input_validation(self):
         topo = small_topology()

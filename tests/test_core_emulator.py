@@ -2,8 +2,6 @@
 
 import weakref
 
-import pytest
-
 from repro.core.emulator import Emulator
 from repro.core.plan import Action, PlanEntry, empty_plan
 from repro.graph.tensor import TensorKind, tensor_classes_for
@@ -50,15 +48,6 @@ def test_saved_by_action_propagates():
     assert report.saved_by_action[Action.RECOMPUTE] == cls.peak_bytes
 
 
-def test_slowdown_vs_baseline():
-    job = _pressured_job()
-    emulator = Emulator(job)
-    base = emulator.run(empty_plan(job.n_stages))
-    assert base.slowdown_vs(base.minibatch_time) == pytest.approx(0.0)
-    assert base.slowdown_vs(base.minibatch_time / 2) == pytest.approx(1.0)
-    assert base.slowdown_vs(0.0) == 0.0
-
-
 def test_device_peaks_cover_all_gpus():
     job = _pressured_job()
     report = Emulator(job).run(empty_plan(job.n_stages))
@@ -94,15 +83,6 @@ def test_fits_tracks_overflow_list():
     assert overflowing.fits == (not overflowing.overflowed_devices)
     roomy = Emulator(tiny_job()).run(empty_plan(4))
     assert roomy.fits and roomy.overflowed_devices == []
-
-
-def test_slowdown_vs_is_signed():
-    job = _pressured_job()
-    report = Emulator(job).run(empty_plan(job.n_stages))
-    faster_baseline = report.minibatch_time / 2
-    slower_baseline = report.minibatch_time * 2
-    assert report.slowdown_vs(faster_baseline) == pytest.approx(1.0)
-    assert report.slowdown_vs(slower_baseline) == pytest.approx(-0.5)
 
 
 def test_one_emulator_reuses_its_lowering_skeleton():

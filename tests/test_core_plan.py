@@ -100,15 +100,6 @@ class TestMemorySavingPlan:
         plan.assign(PlanEntry(cls=_act(stage=2, layer=5), action=Action.RECOMPUTE))
         assert plan.stages_by_action()[Action.RECOMPUTE] == [0, 2]
 
-    def test_d2d_bytes_into(self):
-        plan = empty_plan(4)
-        size = 90 * MB
-        stripe = _stripe(size)
-        plan.assign(PlanEntry(cls=_act(size=size, instances=2), action=Action.D2D_SWAP,
-                              stripe=stripe))
-        total = sum(plan.d2d_bytes_into(dev) for dev in range(1, 4))
-        assert total == size * 2
-
     def test_summary_mentions_techniques(self):
         plan = empty_plan(2)
         plan.assign(PlanEntry(cls=_act(), action=Action.RECOMPUTE))

@@ -66,8 +66,10 @@ class TestInstrument:
         acts = _acts(classes, 1)
         assignments = {acts[0].key: (Action.RECOMPUTE, None)}
         program = rewriter.instrument(assignments, list(range(job.n_stages)))
-        table = program.actions_by_stage()
-        assert table[1]["recompute"] == [acts[0].layer]
+        recomputed = [entry.cls.layer for entry in program.plan.entries.values()
+                      if entry.cls.stage == 1
+                      and entry.action is Action.RECOMPUTE]
+        assert recomputed == [acts[0].layer]
 
 
 class TestConsolidateRecompute:

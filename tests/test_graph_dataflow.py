@@ -61,15 +61,6 @@ def test_order_indices_match_schedule_positions():
         assert [n.order for n in stage_nodes] == list(range(len(stage_nodes)))
 
 
-def test_predecessor_on_stage():
-    program = _program()
-    node = program.per_stage[0][5]
-    assert program.predecessor_on_stage(node, 2) is program.per_stage[0][3]
-    assert program.predecessor_on_stage(program.per_stage[0][0], 1) is None
-    with pytest.raises(ScheduleError):
-        program.predecessor_on_stage(node, 0)
-
-
 def test_stage_count_mismatch_rejected():
     model = tiny_model()
     plan = partition_model(model, 3)

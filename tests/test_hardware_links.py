@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.bandwidth import effective_bandwidth, striped_transfer_time, transfer_time
-from repro.hardware.links import LinkSpec, LinkType, NVLINK2, PCIE3_X16, nvme_link
-from repro.units import GB, GBps, KB, MB
+from repro.hardware.bandwidth import effective_bandwidth, transfer_time
+from repro.hardware.links import LinkSpec, LinkType, NVLINK2, PCIE3_X16
+from repro.units import GB, GBps, KB
 
 
 def test_nvlink_sustained_bandwidth_near_paper_value():
@@ -61,20 +61,3 @@ def test_transfer_time_rejects_invalid_args():
         transfer_time(-1, NVLINK2)
     with pytest.raises(ConfigurationError):
         transfer_time(1, NVLINK2, lanes=0)
-
-
-def test_striped_transfer_time_is_slowest_block():
-    blocks = [100 * MB, 300 * MB]
-    expected = transfer_time(300 * MB, NVLINK2)
-    assert striped_transfer_time(blocks, NVLINK2) == pytest.approx(expected)
-
-
-def test_striped_transfer_time_rejects_empty():
-    with pytest.raises(ConfigurationError):
-        striped_transfer_time([], NVLINK2)
-
-
-def test_nvme_link_builder():
-    link = nvme_link(read_bandwidth=4 * GBps)
-    assert link.link_type is LinkType.NVME
-    assert link.sustained_bandwidth == pytest.approx(4 * GBps)

@@ -75,8 +75,6 @@ class TestPrefixSharing:
         assert freed == 1 * BLOCK  # index still holds the prefix
         assert kv.has_prefix("sys")
         assert kv.bytes_in_use == 2 * BLOCK
-        assert kv.drop_prefix("sys", now=2.0) == 2 * BLOCK
-        assert kv.bytes_in_use == 0
         kv.check_books()
 
     def test_eviction_keeps_the_shared_prefix(self):
@@ -169,7 +167,6 @@ def test_ledger_matches_book_under_any_interleaving(cmds):
     # Teardown: freeing everything leaves only the cached prefix.
     for rid in sorted(admitted):
         kv.free_request(rid, now)
-    if kv.has_prefix("sys"):
-        kv.drop_prefix("sys", now)
-    assert kv.bytes_in_use == 0
-    assert kv.book.in_use == 0
+    prefix_bytes = BLOCK if kv.has_prefix("sys") else 0
+    assert kv.bytes_in_use == prefix_bytes
+    assert kv.book.in_use == prefix_bytes

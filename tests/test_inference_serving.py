@@ -24,9 +24,12 @@ from repro.errors import ConfigurationError, PartitionError
 from repro.hardware.server import dgx1_server
 from repro.inference import InferenceConfig, ServingCost, run_serving
 from repro.inference.costing import INFERENCE_PARAM_BYTES, KV_BYTES_PER_ELEMENT
+from repro.inference.lowering import build_serving_program
+from repro.inference.metrics import compute_metrics
 from repro.models import costs, gpt_variant
 from repro.models.layers import LayerKind
 from repro.runtime.task import trace_digest
+from repro.sim.interpreter import Interpreter
 
 MODEL = gpt_variant(5.3)
 SERVER = dgx1_server()
@@ -41,8 +44,8 @@ SPILL = InferenceConfig(
 )
 
 
-def serve(config: InferenceConfig, **kwargs):
-    return run_serving(MODEL, SERVER, config, **kwargs)
+def serve(config: InferenceConfig):
+    return run_serving(MODEL, SERVER, config)
 
 
 class TestEndToEnd:
@@ -87,12 +90,13 @@ class TestFastPathEquivalence:
         dataclasses.replace(SPILL, kv_swap="none"),
     ], ids=["uncontended", "spill-d2d", "spill-pcie", "spill-none"])
     def test_reference_equals_fast_path(self, config):
-        reference = serve(config, reference=True)
+        program, tape, _ = build_serving_program(MODEL, SERVER, config)
+        reference = Interpreter(program).run()
         fast = serve(config)
-        assert reference.simulation.makespan == fast.simulation.makespan
-        assert trace_digest(reference.simulation.trace) == \
+        assert reference.makespan == fast.simulation.makespan
+        assert trace_digest(reference.trace) == \
             trace_digest(fast.simulation.trace)
-        assert reference.metrics == fast.metrics
+        assert compute_metrics(reference, tape, config) == fast.metrics
 
 
 class TestSwapPolicies:
@@ -188,11 +192,11 @@ class TestMemoisedPricing:
         for stage in range(pp):
             for prefill_tokens, decode_contexts in batches:
                 for _ in range(2):
-                    assert cost.stage_duration(
-                        stage, prefill_tokens, decode_contexts).hex() == \
+                    assert cost.price_iteration(
+                        stage, prefill_tokens, decode_contexts)[0].hex() == \
                         _per_layer_duration(cost, stage, prefill_tokens,
                                             decode_contexts).hex()
-            assert cost.stage_duration(stage, (), ()) == 0.0
+            assert cost.price_iteration(stage, (), ())[0] == 0.0
 
     @pytest.mark.parametrize("tokens", [0, -3])
     def test_non_positive_tokens_raise_on_every_call(self, tokens):
@@ -202,7 +206,7 @@ class TestMemoisedPricing:
                 with pytest.raises(ConfigurationError):
                     priced(1, tokens)
         with pytest.raises(ConfigurationError):
-            cost.stage_duration(0, (), (tokens,))
+            cost.price_iteration(0, (), (tokens,))
 
     def test_out_of_range_stage_is_a_partition_error(self):
         cost = ServingCost(MODEL, SERVER, InferenceConfig(pp=2))

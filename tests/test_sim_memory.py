@@ -81,17 +81,6 @@ class TestMemoryModel:
         assert model.any_overflow()
         assert model.overflowed_gpus() == [1]
 
-    def test_imbalance_ratio(self):
-        model = MemoryModel([100] * 4, host_capacity=1000)
-        for index, amount in enumerate((80, 40, 20, 10)):
-            model.gpu(index).alloc(amount, 0.0)
-        assert model.imbalance_ratio() == pytest.approx(8.0)
-
-    def test_imbalance_with_idle_gpu(self):
-        model = MemoryModel([100, 100], host_capacity=1000)
-        model.gpu(0).alloc(10, 0.0)
-        assert model.imbalance_ratio() == float("inf")
-
     def test_gpu_index_bounds(self):
         model = MemoryModel([100], host_capacity=10)
         with pytest.raises(SimulationError):

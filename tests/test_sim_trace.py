@@ -41,14 +41,6 @@ def test_duration_property():
     assert _event(start=1.0, end=3.5).duration == 2.5
 
 
-def test_gantt_rows_sorted_by_start():
-    trace = Trace()
-    trace.record(_event(device=0, start=5.0, end=6.0))
-    trace.record(_event(device=0, start=1.0, end=2.0))
-    rows = trace.gantt_rows()
-    assert [row[1] for row in rows[0]] == [1.0, 5.0]
-
-
 def test_render_timeline_marks_microbatches():
     trace = Trace()
     trace.record(_event(kind="fwd", device=0, mb=1, start=0.0, end=1.0))
