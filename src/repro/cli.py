@@ -768,10 +768,10 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="TOKENS")
     serve_sim.add_argument("--output-mean", type=int, default=32,
                            metavar="TOKENS")
-    serve_sim.add_argument("--kv-swap", default="d2d",
-                           choices=("d2d", "pcie", "none"),
-                           help="KV overflow policy: stripe to spare GPUs, "
-                                "spill to host, or preempt+recompute")
+    serve_sim.add_argument("--kv-swap", default="d2d", metavar="MODE",
+                           help="KV overflow policy: d2d stripes to spare "
+                                "GPUs, pcie spills to host, none preempts "
+                                "and recomputes")
     serve_sim.add_argument("--pp", type=int, default=1,
                            help="pipeline stages serving the model")
     serve_sim.add_argument("--block-tokens", type=int, default=16,

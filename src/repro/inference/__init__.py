@@ -15,7 +15,6 @@ from repro.inference.lowering import build_serving_program
 from repro.inference.metrics import ServingMetrics, compute_metrics, percentile
 from repro.inference.run import ServingOutcome, run_serving
 from repro.inference.scheduler import (
-    IterationRecord,
     ServingTape,
     SwapDecision,
     schedule_serving,
@@ -24,7 +23,6 @@ from repro.inference.workload import InferenceConfig, Request, generate_requests
 
 __all__ = [
     "InferenceConfig",
-    "IterationRecord",
     "KVBlockManager",
     "Request",
     "ServingCost",

@@ -90,6 +90,16 @@ class _StagePricing:
             self._decode[context_tokens] = flops
         return flops
 
+    def price(self, prefill_tokens: Sequence[int],
+              decode_contexts: Sequence[int]) -> Tuple[float, float, float]:
+        """(duration, prefill FLOPs, decode FLOPs) of one non-empty iteration."""
+        prefill = sum(map(self.prefill_flops, prefill_tokens))
+        decode = sum(map(self.decode_flops, decode_contexts))
+        compute = (prefill + decode) / self.throughput
+        kv_read = sum(decode_contexts) * self.kv_token_bytes
+        hbm = (self.weight_bytes + kv_read) / self.hbm_bandwidth
+        return max(compute, hbm), prefill, decode
+
 
 class ServingCost:
     """Cost oracle binding one model to one server and serving config."""
@@ -131,20 +141,21 @@ class ServingCost:
 
     # -- static footprints -------------------------------------------------
 
-    def _stage(self, stage: int) -> _StagePricing:
+    def stage_pricing(self, stage: int) -> _StagePricing:
+        """The stage's constants and memoised FLOP tables."""
         if not 0 <= stage < len(self._stages):
             self.plan.stage(stage)  # raises PartitionError
         return self._stages[stage]
 
     def weight_bytes(self, stage: int) -> int:
-        return self._stage(stage).weight_bytes
+        return self.stage_pricing(stage).weight_bytes
 
     def n_transformer_layers(self, stage: int) -> int:
-        return self._stage(stage).n_transformer_layers
+        return self.stage_pricing(stage).n_transformer_layers
 
     def kv_token_bytes(self, stage: int) -> int:
         """KV bytes one token pins on this stage (all its layers)."""
-        return self._stage(stage).kv_token_bytes
+        return self.stage_pricing(stage).kv_token_bytes
 
     def block_bytes(self, stage: int) -> int:
         per_token = self.kv_token_bytes(stage)
@@ -175,16 +186,16 @@ class ServingCost:
 
     def prefill_flops(self, stage: int, prompt_tokens: int) -> float:
         """One request's prefill over ``prompt_tokens`` on this stage."""
-        return self._stage(stage).prefill_flops(prompt_tokens)
+        return self.stage_pricing(stage).prefill_flops(prompt_tokens)
 
     def decode_flops(self, stage: int, context_tokens: int) -> float:
         """One request's single-token decode against ``context_tokens``."""
-        return self._stage(stage).decode_flops(context_tokens)
+        return self.stage_pricing(stage).decode_flops(context_tokens)
 
     # -- iteration timing --------------------------------------------------
 
     def throughput(self, stage: int) -> float:
-        return self._stage(stage).throughput
+        return self.stage_pricing(stage).throughput
 
     def price_iteration(
         self,
@@ -203,13 +214,7 @@ class ServingCost:
         """
         if not prefill_tokens and not decode_contexts:
             return 0.0, 0.0, 0.0
-        priced = self._stage(stage)
-        prefill = sum(map(priced.prefill_flops, prefill_tokens))
-        decode = sum(map(priced.decode_flops, decode_contexts))
-        compute = (prefill + decode) / priced.throughput
-        kv_read = sum(decode_contexts) * priced.kv_token_bytes
-        hbm = (priced.weight_bytes + kv_read) / priced.hbm_bandwidth
-        return max(compute, hbm), prefill, decode
+        return self.stage_pricing(stage).price(prefill_tokens, decode_contexts)
 
     def boundary_bytes(self, tokens: int) -> int:
         """Activation bytes crossing a stage boundary for ``tokens``."""

@@ -1,7 +1,8 @@
-"""Lower a serving tape onto the discrete-event instruction IR.
+"""Lower a serving episode onto the discrete-event instruction IR.
 
-The scheduler decided *what* happens each continuous-batching
-iteration; this module decides *when*, by emitting the same typed
+The scheduler decides *what* happens each continuous-batching
+iteration and hands every decision to this module the moment it is
+made; this module decides *when*, by emitting the same typed
 instructions training lowers to, through the same
 :class:`~repro.sim.ir.ProgramBuilder`, so both interpreters — reference
 and fast path — replay serving with real link timings, strict memory
@@ -26,16 +27,16 @@ Program shape per iteration:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.striping import build_stripe_plan
+from repro.errors import ConfigurationError, PlanError
 from repro.hardware.bandwidth import transfer_time
 from repro.hardware.server import Server
 from repro.inference.costing import ServingCost
 from repro.inference.scheduler import ServingTape, SwapDecision, schedule_serving
 from repro.inference.workload import InferenceConfig, generate_requests
 from repro.models.layers import ModelSpec
-from repro.pipeline.schedule import continuous_schedule
 from repro.sim.ir import (
     ALLOC,
     DROP,
@@ -89,47 +90,61 @@ class ServingPlanView:
 
 
 class _ServingLowering:
-    """One serving episode's emission pass."""
+    """One serving episode's emission, driven by the scheduler.
 
-    def __init__(self, cost: ServingCost, tape: ServingTape,
-                 config: InferenceConfig, options: ExecOptions):
+    :func:`~repro.inference.scheduler.schedule_serving` calls
+    :meth:`swap_out`, :meth:`swap_in` and :meth:`iteration` as it
+    decides; :meth:`finish` seals the program once the tape is
+    complete.  A D2D swap that cannot be striped is remembered and
+    raised by :meth:`finish`, so scheduling errors still take
+    precedence over it.
+    """
+
+    def __init__(self, cost: ServingCost, config: InferenceConfig,
+                 options: ExecOptions):
         self.cost = cost
-        self.tape = tape
         self.config = config
         self.options = options
         self.server = cost.server
         self.topology = cost.server.topology
         self.builder = ProgramBuilder()
-        self.static_effects: List[Alloc] = []
+        self.static_effects = [
+            Alloc(device=cost.stage_device(stage),
+                  size=cost.weight_bytes(stage),
+                  tag=f"weights.stage{stage}")
+            for stage in range(cost.n_stages)
+        ]
+        self._budgets = {
+            imp: self.server.gpu(imp).memory_bytes // 2
+            for imp in cost.spare_devices
+        }
         # Per stage device: last compute iid (swap-outs serialize after it).
         self._last_compute: Dict[int, int] = {}
         # (rid, stage) -> iid of the open suspension's out-join.
         self._out_join: Dict[Tuple[int, int], int] = {}
-        # iteration -> per-stage swap gates its computes must wait on.
-        self._gates: Dict[int, Dict[int, List[int]]] = {}
+        # device -> swap iids the next iteration's compute must wait on.
+        self._gates: Dict[int, List[int]] = {}
         self._prev_arrival: Optional[int] = None
         self._prev_gate_time = 0.0
         # (rid, stage) -> StripePlan of the open D2D suspension.
         self._stripe_plans: Dict[Tuple[int, int], object] = {}
+        self._stripe_error: Optional[PlanError] = None
+        last = cost.n_stages - 1
+        # Per stage: (stage, device, compute stream, boundary route).
+        self._stage_plan = tuple(
+            (stage, cost.stage_device(stage), ("compute", cost.stage_device(stage)),
+             self._boundary_route(stage) if stage < last else None)
+            for stage in range(cost.n_stages)
+        )
 
-    def _gate(self, iteration: int, device: int, iid: int) -> None:
-        self._gates.setdefault(iteration, {}).setdefault(device, []).append(iid)
-
-    # -- static state ------------------------------------------------------
-
-    def _lower_static(self) -> None:
-        for stage in range(self.cost.n_stages):
-            self.static_effects.append(
-                Alloc(
-                    device=self.cost.stage_device(stage),
-                    size=self.cost.weight_bytes(stage),
-                    tag=f"weights.stage{stage}",
-                )
-            )
+    def _gate(self, device: int, iid: int) -> None:
+        self._gates.setdefault(device, []).append(iid)
 
     # -- KV swap wiring ----------------------------------------------------
 
-    def _swap_out(self, decision: SwapDecision) -> None:
+    def swap_out(self, decision: SwapDecision) -> None:
+        if self._stripe_error is not None:
+            return
         device = decision.device
         tag = f"kvswap.r{decision.rid}.s{decision.stage}"
         anchor = self._last_compute.get(device)
@@ -152,13 +167,14 @@ class _ServingLowering:
                 size=decision.size,
             )
             self._out_join[(decision.rid, decision.stage)] = out
-            self._gate(decision.out_iteration, device, out)
+            self._gate(device, out)
             return
-        budgets = {
-            imp: self.server.gpu(imp).memory_bytes // 2
-            for imp in self.cost.spare_devices
-        }
-        plan = build_stripe_plan(self.topology, device, budgets, decision.size)
+        try:
+            plan = build_stripe_plan(self.topology, device, self._budgets,
+                                     decision.size)
+        except PlanError as error:
+            self._stripe_error = error
+            return
         sends = []
         for k, block in enumerate(plan.blocks):
             sends.append(
@@ -187,11 +203,13 @@ class _ServingLowering:
             device=device,
         )
         self._out_join[(decision.rid, decision.stage)] = out_join
-        self._gate(decision.out_iteration, device, out_join)
+        self._gate(device, out_join)
         # Remember the stripe layout for the swap-in leg.
         self._stripe_plans[(decision.rid, decision.stage)] = plan
 
-    def _swap_in(self, decision: SwapDecision) -> None:
+    def swap_in(self, decision: SwapDecision) -> None:
+        if self._stripe_error is not None:
+            return
         device = decision.device
         tag = f"kvswap.r{decision.rid}.s{decision.stage}"
         out_join = self._out_join.pop((decision.rid, decision.stage))
@@ -213,7 +231,7 @@ class _ServingLowering:
                 tag=tag,
                 size=decision.size,
             )
-            self._gate(iteration, device, back)
+            self._gate(device, back)
             return
         plan = self._stripe_plans.pop((decision.rid, decision.stage))
         in_begin = self.builder.emit(
@@ -252,7 +270,7 @@ class _ServingLowering:
             done=[(RECORD, "swap_in", device, iteration, -1)],
             device=device,
         )
-        self._gate(iteration, device, in_join)
+        self._gate(device, in_join)
 
     # -- per-iteration compute ---------------------------------------------
 
@@ -272,34 +290,33 @@ class _ServingLowering:
         self._prev_arrival = iid
         return iid
 
-    def _lower_iteration(self, record) -> None:
-        iteration = record.index
-        arrival = None
-        if record.gate is not None:
-            arrival = self._arrival_barrier(iteration, record.gate)
-        prev_stage: Optional[int] = None
-        for stage in range(self.cost.n_stages):
-            device = self.cost.stage_device(stage)
-            deps: List[int] = []
-            if stage == 0 and arrival is not None:
-                deps.append(arrival)
-            if prev_stage is not None:
-                deps.append(prev_stage)
-            deps.extend(self._gates.get(iteration, {}).get(device, ()))
+    def iteration(self, iteration: int, gate: Optional[float],
+                  durations: List[float], kv_alloc: List[int],
+                  kv_free: List[int], boundary_tokens: int) -> None:
+        # The arrival barrier gates stage 0; each later stage waits on
+        # the previous stage's compute or boundary send.
+        prev = None
+        if gate is not None:
+            prev = self._arrival_barrier(iteration, gate)
+        for stage, device, stream, route in self._stage_plan:
+            deps = () if prev is None else (prev,)
+            gates = self._gates.pop(device, None)
+            if gates:
+                deps += tuple(gates)
             start = None
-            if record.kv_alloc[stage]:
-                start = [(ALLOC, device, record.kv_alloc[stage], KV_TAG)]
+            if kv_alloc[stage]:
+                start = [(ALLOC, device, kv_alloc[stage], KV_TAG)]
             done: List[tuple] = []
-            if record.kv_free[stage]:
-                done.append((DROP, device, record.kv_free[stage], KV_TAG))
+            if kv_free[stage]:
+                done.append((DROP, device, kv_free[stage], KV_TAG))
             done.append((RECORD, "step", device, iteration, stage))
-            compute = self.builder.emit(
+            prev = self.builder.emit(
                 Compute,
                 name=f"serve.i{iteration}.s{stage}",
-                stream=("compute", device),
+                stream=stream,
                 mode="fifo",
-                duration=record.stage_durations[stage],
-                deps=tuple(deps),
+                duration=durations[stage],
+                deps=deps,
                 start=start,
                 done=done,
                 device=device,
@@ -308,25 +325,25 @@ class _ServingLowering:
                 layer=stage,
                 op="fwd",
             )
-            self._last_compute[device] = compute
-            prev_stage = compute
-            if stage + 1 < self.cost.n_stages and record.boundary_tokens:
-                prev_stage = self._boundary_send(iteration, stage, compute,
-                                                record.boundary_tokens)
+            self._last_compute[device] = prev
+            if route is not None and boundary_tokens:
+                prev = self._boundary_send(iteration, stage, prev, route,
+                                           boundary_tokens)
 
-    def _boundary_send(self, iteration: int, stage: int, compute: int,
-                       tokens: int) -> int:
+    def _boundary_route(self, stage: int):
+        """(src, dst, stream, link) of the send after ``stage``."""
         src = self.cost.stage_device(stage)
         dst = self.cost.stage_device(stage + 1)
-        size = self.cost.boundary_bytes(tokens)
         if self.topology.lanes(src, dst) > 0:
-            lane = self.topology.lane_channels(src, dst)[0]
-            link = self.topology.link_for(src, dst)
-            stream: Hashable = lane
-        else:
-            # Non-adjacent stages fall back to staged PCIe.
-            link = self.server.pcie
-            stream = ("pcie_p2p", src, dst)
+            return (src, dst, self.topology.lane_channels(src, dst)[0],
+                    self.topology.link_for(src, dst))
+        # Non-adjacent stages fall back to staged PCIe.
+        return src, dst, ("pcie_p2p", src, dst), self.server.pcie
+
+    def _boundary_send(self, iteration: int, stage: int, compute: int,
+                       route, tokens: int) -> int:
+        src, dst, stream, link = route
+        size = self.cost.boundary_bytes(tokens)
         return self.builder.emit(
             P2PSend,
             name=f"bound.i{iteration}.s{stage}",
@@ -341,25 +358,14 @@ class _ServingLowering:
 
     # -- assembly ----------------------------------------------------------
 
-    def build(self) -> InstructionProgram:
-        self._lower_static()
-        swaps_out: Dict[int, List[SwapDecision]] = {}
-        swaps_in: Dict[int, List[SwapDecision]] = {}
-        for decision in self.tape.swaps:
-            swaps_out.setdefault(decision.out_iteration, []).append(decision)
-            if decision.in_iteration is not None:
-                swaps_in.setdefault(decision.in_iteration, []).append(decision)
-        for record in self.tape.iterations:
-            for decision in swaps_out.get(record.index, ()):
-                self._swap_out(decision)
-            for decision in swaps_in.get(record.index, ()):
-                self._swap_in(decision)
-            self._lower_iteration(record)
+    def finish(self, tape: ServingTape) -> InstructionProgram:
+        if self._stripe_error is not None:
+            raise self._stripe_error
         job = ServingJobView(
             server=self.server,
             n_minibatches=1,
-            samples_per_minibatch=self.tape.total_output_tokens,
-            total_flops=self.tape.total_flops,
+            samples_per_minibatch=tape.total_output_tokens,
+            total_flops=tape.total_flops,
         )
         plan = ServingPlanView(n_stages=self.cost.n_stages)
         return self.builder.finish(job, plan, self.options, self.static_effects)
@@ -371,20 +377,19 @@ def build_serving_program(
     config: InferenceConfig,
     options: Optional[ExecOptions] = None,
 ) -> Tuple[InstructionProgram, ServingTape, ServingCost]:
-    """Schedule and lower one serving episode; returns all three layers."""
+    """Schedule and lower one serving episode; returns all three layers.
+
+    The scheduler emits onto the lowering as it decides, so the tape
+    and the program are built in one pass.
+    """
     if options is None:
         options = ExecOptions()
-    from repro.errors import ConfigurationError
-
     cost = ServingCost(model, server, config)
     requests = generate_requests(config)
-    tape = schedule_serving(requests, cost, config)
+    lowering = _ServingLowering(cost, config, options)
+    tape = schedule_serving(requests, cost, config, lowering)
     if tape.swaps and config.kv_swap == "d2d" and not cost.spare_devices:
         raise ConfigurationError(
             "kv_swap='d2d' needs spare-memory GPUs but every device hosts a "
             "stage; lower pp or use kv_swap='pcie'")
-    # The schedule family is validated even though the per-iteration
-    # content lives on the tape: it pins the forward-only invariant.
-    continuous_schedule(cost.n_stages, max(1, tape.n_iterations))
-    lowering = _ServingLowering(cost, tape, config, options)
-    return lowering.build(), tape, cost
+    return lowering.finish(tape), tape, cost

@@ -12,7 +12,7 @@ from repro.inference.metrics import ServingMetrics, compute_metrics
 from repro.inference.scheduler import ServingTape
 from repro.inference.workload import InferenceConfig
 from repro.models.layers import ModelSpec
-from repro.sim.fastpath import run_program
+from repro.sim.fastpath import gc_paused, run_program
 from repro.sim.interpreter import SimulationResult
 from repro.sim.ir import ExecOptions
 
@@ -36,10 +36,16 @@ def run_serving(
     """Simulate one serving episode end to end.
 
     Dispatches through :func:`repro.sim.fastpath.run_program` exactly
-    like training runs do (fast tape replay when eligible).
+    like training runs do (fast tape replay when eligible).  The whole
+    chain runs with the cyclic garbage collector paused, as
+    :meth:`repro.core.emulator.Emulator.run` does: the schedule, the
+    program and the replay are large acyclic object graphs.
     """
-    program, tape, cost = build_serving_program(model, server, config, options)
-    simulation = run_program(program)
-    metrics = compute_metrics(simulation, tape, config)
+    with gc_paused():
+        program, tape, cost = build_serving_program(model, server, config,
+                                                    options)
+        simulation = run_program(program)
+        del program
+        metrics = compute_metrics(simulation, tape, config)
     return ServingOutcome(simulation=simulation, metrics=metrics,
                           tape=tape, cost=cost)

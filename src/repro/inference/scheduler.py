@@ -1,11 +1,14 @@
 """Continuous-batching serving scheduler (plan-time, deterministic).
 
-The scheduler runs the whole serving episode on a logical clock and
-emits a :class:`ServingTape`: per-iteration admission, decode, KV
-alloc/free, and swap decisions.  The tape is then lowered onto the
-discrete-event substrate (`repro.inference.lowering`), where the
-interpreters replay exactly these decisions with real link timings —
-the same plan-then-simulate split the training planner uses.
+The scheduler runs the whole serving episode on a logical clock.  It
+hands each decided iteration (admission gate, per-stage durations, KV
+alloc/free, boundary tokens) and each swap decision straight to the
+serving lowering (`repro.inference.lowering`), which emits them onto
+the discrete-event substrate at once; the interpreters then replay
+exactly these decisions with real link timings — the same
+plan-then-simulate split the training planner uses.  What the metrics
+need afterwards (swaps, completions, counters) stays on the returned
+:class:`ServingTape`.
 
 Policy (vLLM-flavoured, simplified to stay deterministic):
 
@@ -27,6 +30,7 @@ comparison behind the decode-stall crossover claim.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -52,26 +56,12 @@ class SwapDecision:
     in_iteration: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Everything one continuous-batching iteration does."""
-
-    index: int
-    gate: Optional[float]               # max arrival among admissions
-    prefills: Tuple[Tuple[int, int], ...]   # (rid, chargeable prompt tokens)
-    decodes: Tuple[Tuple[int, int], ...]    # (rid, KV context read)
-    stage_durations: Tuple[float, ...]
-    kv_alloc: Tuple[int, ...]           # per stage: fresh bytes at compute start
-    kv_free: Tuple[int, ...]            # per stage: bytes dropped at compute end
-    boundary_tokens: int
-
-
 @dataclass
 class ServingTape:
     """The scheduler's full decision record for one serving episode."""
 
     requests: List[Request]
-    iterations: List[IterationRecord] = field(default_factory=list)
+    n_iterations: int = 0
     swaps: List[SwapDecision] = field(default_factory=list)
     completion: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     preemptions: int = 0
@@ -79,10 +69,6 @@ class ServingTape:
     prefix_saved_tokens: int = 0
     total_flops: float = 0.0
     total_output_tokens: int = 0
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.iterations)
 
     @property
     def swapped_bytes(self) -> int:
@@ -102,7 +88,7 @@ class ServingTape:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _Active:
     """Mutable per-request serving state."""
 
@@ -113,13 +99,43 @@ class _Active:
     blocks_held: int = 0        # incl. shared prefix blocks
     prefix_blocks: int = 0
     prefill_iter: int = -1
+    shielded: int = -1          # pass that prefilled or resumed it (no victim)
+    live: bool = True           # in the running list
+    parked_blocks: int = 0      # private blocks out while suspended
+    open_swaps: List[SwapDecision] = field(default_factory=list)
+
+
+class _Discard:
+    """The sink of a schedule nobody lowers."""
+
+    def swap_out(self, decision: SwapDecision) -> None:
+        pass
+
+    def swap_in(self, decision: SwapDecision) -> None:
+        pass
+
+    def iteration(self, index, gate, durations, kv_alloc, kv_free,
+                  boundary_tokens) -> None:
+        pass
 
 
 def schedule_serving(
-    requests: List[Request], cost: ServingCost, config: InferenceConfig
+    requests: List[Request], cost: ServingCost, config: InferenceConfig,
+    sink=None,
 ) -> ServingTape:
-    """Run the continuous-batching policy; returns the decision tape."""
-    stages = range(cost.n_stages)
+    """Run the continuous-batching policy; returns the decision tape.
+
+    ``sink`` (the serving lowering) receives every decision the moment
+    it is made: ``swap_out(decision)`` as a request is suspended,
+    ``swap_in(decision)`` for each resumed stage share once its
+    iteration is decided, after that iteration's swap-outs, and then
+    ``iteration(index, gate, durations, kv_alloc, kv_free,
+    boundary_tokens)`` with the per-stage compute it runs.
+    """
+    if sink is None:
+        sink = _Discard()
+    n_stages = cost.n_stages
+    stages = range(n_stages)
     managers = [
         KVBlockManager(
             DeviceMemory(name=f"kvplan{s}", capacity=cost.kv_pool_bytes(s)),
@@ -128,115 +144,127 @@ def schedule_serving(
         for s in stages
     ]
     validate_pool(cost, requests)
+    pools = [(manager.book, manager.block_bytes) for manager in managers]
+    pricing = [cost.stage_pricing(s).price for s in stages]
+    devices = [cost.stage_device(s) for s in stages]
+    block_tokens = config.block_tokens
+    max_batch = config.max_batch
+    recompute = config.kv_swap == "none"
+    prefix_blocks_wanted = 0
+    if config.shared_prefix_tokens >= block_tokens:
+        prefix_blocks_wanted = config.shared_prefix_tokens // block_tokens
     tape = ServingTape(requests=list(requests))
-    waiting: List[Request] = list(requests)
-    running: Dict[int, _Active] = {}
-    parked: Dict[int, _Active] = {}
-    parked_private: Dict[int, int] = {}
-    open_swaps: Dict[int, List[int]] = {}   # rid -> indices into tape.swaps
-    suspended: List[int] = []
+    waiting = deque(requests)
+    running: List[_Active] = []     # admission order
+    suspended = deque()             # _Active, FIFO
+    resumed_swaps: List[SwapDecision] = []   # swap-ins of this iteration
     clock = 0.0
+    iteration = 0
     next_order = 0
     idle_passes = 0
 
-    def fresh_blocks_needed(request: Request) -> Tuple[int, int, int]:
-        """(fresh, prefix_blocks, cached_tokens) for admitting ``request``."""
-        total = cost.blocks_for_tokens(request.prompt_tokens)
-        if request.shared_prefix and config.shared_prefix_tokens >= config.block_tokens:
-            prefix_blocks = min(
-                config.shared_prefix_tokens // config.block_tokens, total
-            )
-            if managers[0].has_prefix(_PREFIX_KEY):
-                cached = prefix_blocks * config.block_tokens
-                return total - prefix_blocks, prefix_blocks, cached
-            return total, prefix_blocks, 0
-        return total, 0, 0
+    def fits(n_blocks: int) -> bool:
+        for book, block_bytes in pools:
+            if book.in_use + n_blocks * block_bytes > book.capacity:
+                return False
+        return True
 
-    for _guard in range(_MAX_PASSES):
+    def suspend(state: _Active) -> None:
+        rid = state.request.rid
+        running.remove(state)
+        state.live = False
+        if recompute:
+            # Recompute preemption: drop everything, re-prefill later.
+            for s, manager in enumerate(managers):
+                kv_free[s] += manager.free_request(rid, clock)
+            tape.preemptions += 1
+            waiting.appendleft(state.request)
+            return
+        for s, manager in enumerate(managers):
+            decision = SwapDecision(
+                rid=rid, stage=s, device=devices[s],
+                size=manager.evict_private(rid, clock), out_iteration=iteration)
+            tape.swaps.append(decision)
+            state.open_swaps.append(decision)
+            sink.swap_out(decision)
+        state.parked_blocks = state.blocks_held - state.prefix_blocks
+        state.blocks_held = state.prefix_blocks
+        suspended.append(state)
+
+    for pass_no in range(_MAX_PASSES):
         if not (waiting or running or suspended):
             break
-        iteration = len(tape.iterations)
         if not running and not suspended and waiting:
             clock = max(clock, waiting[0].arrival)
 
-        kv_alloc = [0] * cost.n_stages
-        kv_free = [0] * cost.n_stages
-        prefills: List[Tuple[int, int]] = []
-        decodes: List[Tuple[int, int]] = []
+        kv_alloc = [0] * n_stages
+        kv_free = [0] * n_stages
+        prefilled: List[_Active] = []
+        prefill_tokens: List[int] = []
+        decoded: List[_Active] = []
+        decode_contexts: List[int] = []
         gate: Optional[float] = None
-        resumed: Set[int] = set()
-        suspended_now = False
-
-        def suspend(victim: int) -> None:
-            nonlocal suspended_now
-            suspended_now = True
-            state = running.pop(victim)
-            if config.kv_swap == "none":
-                # Recompute preemption: drop everything, re-prefill later.
-                for s in stages:
-                    kv_free[s] += managers[s].free_request(victim, clock)
-                tape.preemptions += 1
-                waiting.insert(0, state.request)
-                return
-            decisions: List[int] = []
-            for s in stages:
-                freed = managers[s].evict_private(victim, clock)
-                tape.swaps.append(
-                    SwapDecision(rid=victim, stage=s, device=cost.stage_device(s),
-                                 size=freed, out_iteration=iteration)
-                )
-                decisions.append(len(tape.swaps) - 1)
-            parked_private[victim] = state.blocks_held - state.prefix_blocks
-            state.blocks_held = state.prefix_blocks
-            parked[victim] = state
-            open_swaps[victim] = decisions
-            suspended.append(victim)
+        suspensions = len(tape.swaps) + tape.preemptions
+        resumed_now = False
 
         # 1. Resume suspended requests, strictly FIFO.
         while suspended:
-            rid = suspended[0]
-            blocks = parked_private[rid]
-            if len(running) >= config.max_batch or not all(
-                managers[s].can_allocate(blocks) for s in stages
-            ):
+            state = suspended[0]
+            blocks = state.parked_blocks
+            if len(running) >= max_batch or not fits(blocks):
                 break
-            suspended.pop(0)
-            state = parked.pop(rid)
-            for s in stages:
+            suspended.popleft()
+            rid = state.request.rid
+            for manager in managers:
                 # The device-side bytes come back on the swap-in
                 # instructions, not on this iteration's compute.
-                managers[s].restore_private(rid, blocks, clock)
-            for index in open_swaps.pop(rid):
-                tape.swaps[index].in_iteration = iteration
+                manager.restore_private(rid, blocks, clock)
+            for decision in state.open_swaps:
+                decision.in_iteration = iteration
+            resumed_swaps.extend(state.open_swaps)
+            state.open_swaps = []
             state.blocks_held += blocks
-            parked_private.pop(rid)
-            running[rid] = state
-            resumed.add(rid)
+            state.shielded = pass_no
+            state.live = True
+            at = len(running)
+            while at and running[at - 1].order > state.order:
+                at -= 1
+            running.insert(at, state)
+            resumed_now = True
+        decoders = list(running)  # everyone admitted before this iteration
 
         # 2. Admit newly-arrived requests in order.
-        while waiting and waiting[0].arrival <= clock and len(running) < config.max_batch:
+        while waiting and waiting[0].arrival <= clock and len(running) < max_batch:
             request = waiting[0]
-            fresh, prefix_blocks, cached_tokens = fresh_blocks_needed(request)
-            if not all(managers[s].can_allocate(fresh) for s in stages):
+            total = cost.blocks_for_tokens(request.prompt_tokens)
+            prefix_blocks = cached_tokens = 0
+            if request.shared_prefix and prefix_blocks_wanted:
+                prefix_blocks = min(prefix_blocks_wanted, total)
+                if managers[0].has_prefix(_PREFIX_KEY):
+                    cached_tokens = prefix_blocks * block_tokens
+            fresh = total - prefix_blocks if cached_tokens else total
+            if not fits(fresh):
                 break
-            waiting.pop(0)
+            waiting.popleft()
             key = _PREFIX_KEY if prefix_blocks else None
-            for s in stages:
-                kv_alloc[s] += managers[s].admit(
-                    request.rid, cost.blocks_for_tokens(request.prompt_tokens),
-                    clock, prefix_key=key, prefix_blocks=prefix_blocks,
+            for s, manager in enumerate(managers):
+                kv_alloc[s] += manager.admit(
+                    request.rid, total, clock,
+                    prefix_key=key, prefix_blocks=prefix_blocks,
                 )
             if cached_tokens:
                 tape.prefix_cache_hits += 1
                 tape.prefix_saved_tokens += cached_tokens
-            running[request.rid] = _Active(
+            state = _Active(
                 request=request, order=next_order,
                 context=request.prompt_tokens, generated=1,
-                blocks_held=cost.blocks_for_tokens(request.prompt_tokens),
-                prefix_blocks=prefix_blocks, prefill_iter=iteration,
+                blocks_held=total, prefix_blocks=prefix_blocks,
+                prefill_iter=iteration, shielded=pass_no,
             )
             next_order += 1
-            prefills.append((request.rid, max(1, request.prompt_tokens - cached_tokens)))
+            running.append(state)
+            prefilled.append(state)
+            prefill_tokens.append(max(1, request.prompt_tokens - cached_tokens))
             gate = request.arrival if gate is None else max(gate, request.arrival)
 
         # 3. Decode one token for every request admitted before this
@@ -244,62 +272,57 @@ def schedule_serving(
         #    from later-admitted requests that have not decoded yet
         #    this iteration (and were not just resumed or prefilled),
         #    so an evicted block is never read after its swap-out.
-        prefill_rids = {rid for rid, _ in prefills}
-        for _, rid in sorted(
-            (state.order, rid)
-            for rid, state in running.items()
-            if rid not in prefill_rids
-        ):
-            if rid not in running:
+        for state in decoders:
+            if not state.live:
                 continue  # evicted by an earlier decode this iteration
-            state = running[rid]
-            if state.context + 1 > state.blocks_held * config.block_tokens:
+            if state.context + 1 > state.blocks_held * block_tokens:
                 stalled = False
-                while not all(managers[s].can_allocate(1) for s in stages):
-                    victims = [
-                        (other.order, other_rid)
-                        for other_rid, other in running.items()
-                        if other.order > state.order
-                        and other_rid not in prefill_rids
-                        and other_rid not in resumed
-                    ]
-                    if victims:
-                        suspend(max(victims)[1])
-                    elif rid in resumed:
+                while not fits(1):
+                    victim = None
+                    for other in reversed(running):
+                        if other.order <= state.order:
+                            break
+                        if other.shielded != pass_no:
+                            victim = other
+                            break
+                    if victim is not None:
+                        suspend(victim)
+                    elif state.shielded == pass_no:
                         stalled = True  # just swapped in; sit this one out
                         break
                     else:
-                        suspend(rid)
+                        suspend(state)
                         break
-                if stalled or rid not in running:
+                if stalled or not state.live:
                     continue
-                for s in stages:
-                    kv_alloc[s] += managers[s].append(rid, 1, clock)
+                rid = state.request.rid
+                for s, manager in enumerate(managers):
+                    kv_alloc[s] += manager.append(rid, 1, clock)
                 state.blocks_held += 1
-            decodes.append((rid, state.context))
+            decoded.append(state)
+            decode_contexts.append(state.context)
             state.context += 1
             state.generated += 1
 
         # 4. Retire completed requests; their KV drops with the
         #    iteration's compute.
-        for rid, _ in prefills + decodes:
-            state = running.get(rid)
-            if state is None:
-                continue
+        for state in prefilled + decoded:
             if state.generated >= state.request.output_tokens:
-                for s in stages:
-                    kv_free[s] += managers[s].free_request(rid, clock)
+                rid = state.request.rid
+                for s, manager in enumerate(managers):
+                    kv_free[s] += manager.free_request(rid, clock)
                 tape.completion[rid] = (state.prefill_iter, iteration)
                 tape.total_output_tokens += state.request.output_tokens
-                del running[rid]
+                running.remove(state)
+                state.live = False
 
-        if not prefills and not decodes:
+        if not prefilled and not decoded:
             idle_passes += 1
             if idle_passes > 64:
                 raise SimulationError(
                     "serving livelock: suspend/resume cycles without progress "
                     "(shrink shared_prefix_tokens or grow kv_pool_mib)")
-            if suspended_now or resumed:
+            if resumed_now or len(tape.swaps) + tape.preemptions != suspensions:
                 continue  # suspension/resume made progress, retry
             if waiting and not running:
                 clock = max(clock, waiting[0].arrival)
@@ -309,29 +332,20 @@ def schedule_serving(
                 "pool (shrink shared_prefix_tokens or grow kv_pool_mib)")
         idle_passes = 0
 
-        prefill_tokens = [tokens for _, tokens in prefills]
-        decode_contexts = [context for _, context in decodes]
         durations = []
-        for s in stages:
-            duration, prefill_flops, decode_flops = cost.price_iteration(
-                s, prefill_tokens, decode_contexts)
+        for price in pricing:
+            duration, prefill_flops, decode_flops = price(
+                prefill_tokens, decode_contexts)
             durations.append(duration)
             tape.total_flops += prefill_flops
             tape.total_flops += decode_flops
         clock += sum(durations)
-
-        tape.iterations.append(
-            IterationRecord(
-                index=iteration,
-                gate=gate,
-                prefills=tuple(prefills),
-                decodes=tuple(decodes),
-                stage_durations=tuple(durations),
-                kv_alloc=tuple(kv_alloc),
-                kv_free=tuple(kv_free),
-                boundary_tokens=sum(prefill_tokens) + len(decodes),
-            )
-        )
+        for decision in resumed_swaps:
+            sink.swap_in(decision)
+        resumed_swaps.clear()
+        sink.iteration(iteration, gate, durations, kv_alloc, kv_free,
+                       sum(prefill_tokens) + len(decode_contexts))
+        iteration += 1
     else:
         raise SimulationError(
             "serving scheduler exceeded the pass guard — the KV pool is too "
@@ -343,6 +357,7 @@ def schedule_serving(
         raise SimulationError(
             f"serving ended with {len(tape.completion)} of "
             f"{len(tape.requests)} requests completed")
+    tape.n_iterations = iteration
     return tape
 
 

@@ -16,6 +16,7 @@ additional token reading the KV cache of everything before it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -26,6 +27,19 @@ _ARRIVALS = ("poisson", "uniform", "trace")
 # KV overflow policies: stripe to spare GPUs, spill to host, or preempt
 # and re-prefill.  The serving sweep grid is all three.
 KV_MODES = ("d2d", "pcie", "none")
+_INT_FIELDS = ("seed", "n_requests", "prompt_mean", "prompt_min",
+               "prompt_max", "output_mean", "output_min", "output_max",
+               "block_tokens", "max_batch", "pp", "shared_prefix_tokens")
+_REAL_FIELDS = ("arrival_rate", "mfu", "shared_prefix_fraction")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,17 @@ class InferenceConfig:
         if self.kv_swap not in KV_MODES:
             raise ConfigurationError(
                 f"unknown kv_swap {self.kv_swap!r}; options: {sorted(KV_MODES)}")
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.kv_pool_mib is not None and not _is_int(self.kv_pool_mib):
+            raise ConfigurationError(
+                f"kv_pool_mib must be an integer, got {self.kv_pool_mib!r}")
+        for name in _REAL_FIELDS:
+            if not _is_finite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {getattr(self, name)!r}")
         if (self.trace is not None) != (self.arrival == "trace"):
             raise ConfigurationError(
                 'trace-driven workloads need both arrival="trace" and a trace')
@@ -78,6 +103,10 @@ class InferenceConfig:
                     raise ConfigurationError(
                         "trace entries are (arrival, prompt, output) triples")
                 arrival, prompt, output = entry
+                if not (_is_finite(arrival) and _is_int(prompt) and _is_int(output)):
+                    raise ConfigurationError(
+                        f"invalid trace entry {entry!r}: arrival must be a "
+                        "finite number, prompt/output integers")
                 if arrival < 0 or prompt < 1 or output < 1:
                     raise ConfigurationError(
                         f"invalid trace entry {entry!r}: arrival must be >= 0, "

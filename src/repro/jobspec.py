@@ -320,7 +320,7 @@ def inference_config_from_spec(spec: Dict):
         if params.get("trace") is not None:
             params["trace"] = tuple(tuple(entry) for entry in params["trace"])
         return InferenceConfig(**params)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, ConfigurationError) as error:
         raise ConfigurationError(f"invalid inference settings ({error})")
 
 

@@ -561,6 +561,20 @@ class TestServeSim:
         assert code == 2
         assert "kv_pool_mib" in capsys.readouterr().err
 
+    def test_unknown_kv_swap_names_the_options(self, capsys):
+        code = main(["serve-sim", "--model", "gpt-5.3", "--kv-swap", "bogus"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown kv_swap 'bogus'" in err
+        for mode in ("d2d", "pcie", "none"):
+            assert repr(mode) in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_arrival_rate_rejected(self, capsys, rate):
+        code = main(["serve-sim", "--model", "gpt-5.3", "--arrival-rate", rate])
+        assert code == 2
+        assert "arrival_rate must be a finite number" in capsys.readouterr().err
+
 
 class TestSingleNodeGuard:
     def test_guard_names_the_offending_flag(self, capsys):

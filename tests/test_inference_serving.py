@@ -226,9 +226,14 @@ class TestMemoisedPricing:
 
         monkeypatch.setattr(costs, "layer_decode_flops", counted)
         outcome = serve(dataclasses.replace(SPILL, pp=2))
-        contexts = {context for record in outcome.tape.iterations
-                    for _, context in record.decodes}
-        decodes = sum(len(record.decodes) for record in outcome.tape.iterations)
+        # Without preemption every request prefills once and then
+        # decodes against contexts prompt, prompt + 1, ... until its
+        # last token; a swap pauses a request without changing them.
+        assert outcome.tape.preemptions == 0
+        per_request = [range(r.prompt_tokens, r.prompt_tokens + r.output_tokens - 1)
+                       for r in outcome.tape.requests]
+        contexts = {context for span in per_request for context in span}
+        decodes = sum(len(span) for span in per_request)
         bound = sum(len(contexts) * outcome.cost.n_transformer_layers(stage)
                     for stage in range(outcome.cost.n_stages))
         assert 0 < len(calls) <= bound

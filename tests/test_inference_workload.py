@@ -38,6 +38,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=match):
             InferenceConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", [
+        "seed", "n_requests", "prompt_mean", "prompt_min", "prompt_max",
+        "output_mean", "output_min", "output_max", "block_tokens",
+        "max_batch", "pp", "shared_prefix_tokens", "kv_pool_mib",
+    ])
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_integer_fields_need_real_ints(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            InferenceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["arrival_rate", "mfu",
+                                       "shared_prefix_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), True, "0.5"])
+    def test_real_fields_need_finite_numbers(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be a finite number"):
+            InferenceConfig(**{field: value})
+
+    @pytest.mark.parametrize("entry", [
+        (float("nan"), 8, 4), (float("inf"), 8, 4), (0.0, 8.5, 4),
+        (0.0, 8, 4.0), (0.0, True, 4), ("0", 8, 4),
+    ])
+    def test_trace_entries_need_finite_arrivals_and_int_lengths(self, entry):
+        with pytest.raises(ConfigurationError, match="invalid trace entry"):
+            InferenceConfig(arrival="trace", trace=(entry,))
+
+    def test_int_valued_reals_still_accepted(self):
+        config = InferenceConfig(arrival_rate=32, mfu=1,
+                                 shared_prefix_fraction=0, kv_pool_mib=199)
+        assert config.arrival_rate == 32
+
     def test_trace_requires_trace_arrival_and_vice_versa(self):
         with pytest.raises(ConfigurationError, match="trace"):
             InferenceConfig(arrival="trace")

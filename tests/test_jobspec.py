@@ -288,6 +288,27 @@ class TestMistypedSpecValues:
                             "workload": "inference",
                             "inference": {"n_requests": "x"}})
 
+    @pytest.mark.parametrize("body,key", [
+        ('{"arrival_rate": NaN, "n_requests": 4}', "arrival_rate"),
+        ('{"arrival_rate": Infinity}', "arrival_rate"),
+        ('{"mfu": NaN}', "mfu"),
+        ('{"shared_prefix_fraction": NaN}', "shared_prefix_fraction"),
+        ('{"n_requests": 4.5}', "n_requests"),
+        ('{"max_batch": 2.5}', "max_batch"),
+        ('{"pp": true}', "pp"),
+        ('{"kv_pool_mib": 99.5}', "kv_pool_mib"),
+        ('{"arrival": "trace", "trace": [[NaN, 8, 4]]}', "trace entry"),
+        ('{"arrival": "trace", "trace": [[0.0, 8.5, 4]]}', "trace entry"),
+    ])
+    def test_non_finite_or_fractional_inference_values_rejected(self, body, key):
+        """JSON admits NaN and Infinity; neither reaches the scheduler."""
+        from repro.jobspec import task_from_spec
+
+        with pytest.raises(ConfigurationError, match=key):
+            task_from_spec({"model": "gpt-5.3", "server": "dgx1",
+                            "workload": "inference",
+                            "inference": json.loads(body)})
+
     def test_service_benchmark_deck_accepted(self):
         """Every spec the sweep-service benchmark POSTs still parses."""
         from perfbench import inputs

@@ -203,6 +203,17 @@ class TestEndpoints:
         assert key in str(info.value)
         assert client.health()["ok"] is True
 
+    def test_non_finite_inference_value_is_400(self, client):
+        # json.dumps writes NaN as a bare token, which json.loads on
+        # the server side accepts.
+        spec = {"model": "gpt-5.3", "server": "dgx1", "workload": "inference",
+                "inference": {"arrival_rate": float("nan"), "n_requests": 4}}
+        with pytest.raises(ServeError) as info:
+            client.submit(tasks=[spec])
+        assert info.value.status == 400
+        assert "arrival_rate must be a finite number" in str(info.value)
+        assert client.health()["ok"] is True
+
     def test_invalid_json_body_is_400(self, client):
         import urllib.error
         import urllib.request
