@@ -92,7 +92,14 @@ class _StagePricing:
 
     def price(self, prefill_tokens: Sequence[int],
               decode_contexts: Sequence[int]) -> Tuple[float, float, float]:
-        """(duration, prefill FLOPs, decode FLOPs) of one non-empty iteration."""
+        """(duration, prefill FLOPs, decode FLOPs) of one non-empty iteration.
+
+        ``prefill_tokens`` are the *chargeable* prompt lengths of this
+        iteration's prefills (prefix-cache hits already subtracted);
+        ``decode_contexts`` the KV context each decoding request reads.
+        The duration is the max of the compute-bound and HBM-bound
+        times (weights plus every decode's KV streamed once).
+        """
         prefill = sum(map(self.prefill_flops, prefill_tokens))
         decode = sum(map(self.decode_flops, decode_contexts))
         compute = (prefill + decode) / self.throughput
@@ -196,25 +203,6 @@ class ServingCost:
 
     def throughput(self, stage: int) -> float:
         return self.stage_pricing(stage).throughput
-
-    def price_iteration(
-        self,
-        stage: int,
-        prefill_tokens: Sequence[int],
-        decode_contexts: Sequence[int],
-    ) -> Tuple[float, float, float]:
-        """(duration, prefill FLOPs, decode FLOPs) of one iteration on one stage.
-
-        ``prefill_tokens`` are the *chargeable* prompt lengths of this
-        iteration's prefills (prefix-cache hits already subtracted);
-        ``decode_contexts`` the KV context each decoding request reads.
-        The duration is the max of the compute-bound and HBM-bound
-        times (weights plus every decode's KV streamed once); an empty
-        iteration takes no time.
-        """
-        if not prefill_tokens and not decode_contexts:
-            return 0.0, 0.0, 0.0
-        return self.stage_pricing(stage).price(prefill_tokens, decode_contexts)
 
     def boundary_bytes(self, tokens: int) -> int:
         """Activation bytes crossing a stage boundary for ``tokens``."""

@@ -42,6 +42,8 @@ from repro.sim.memory import DeviceMemory
 
 _MAX_PASSES = 1_000_000
 _PREFIX_KEY = "system-prompt"
+_LIVELOCK = ("serving livelock: suspend/resume cycles without progress "
+             "(shrink shared_prefix_tokens or grow kv_pool_mib)")
 
 
 @dataclass
@@ -105,23 +107,8 @@ class _Active:
     open_swaps: List[SwapDecision] = field(default_factory=list)
 
 
-class _Discard:
-    """The sink of a schedule nobody lowers."""
-
-    def swap_out(self, decision: SwapDecision) -> None:
-        pass
-
-    def swap_in(self, decision: SwapDecision) -> None:
-        pass
-
-    def iteration(self, index, gate, durations, kv_alloc, kv_free,
-                  boundary_tokens) -> None:
-        pass
-
-
 def schedule_serving(
-    requests: List[Request], cost: ServingCost, config: InferenceConfig,
-    sink=None,
+    requests: List[Request], cost: ServingCost, config: InferenceConfig, sink,
 ) -> ServingTape:
     """Run the continuous-batching policy; returns the decision tape.
 
@@ -132,8 +119,6 @@ def schedule_serving(
     ``iteration(index, gate, durations, kv_alloc, kv_free,
     boundary_tokens)`` with the per-stage compute it runs.
     """
-    if sink is None:
-        sink = _Discard()
     n_stages = cost.n_stages
     stages = range(n_stages)
     managers = [
@@ -144,7 +129,6 @@ def schedule_serving(
         for s in stages
     ]
     validate_pool(cost, requests)
-    pools = [(manager.book, manager.block_bytes) for manager in managers]
     pricing = [cost.stage_pricing(s).price for s in stages]
     devices = [cost.stage_device(s) for s in stages]
     block_tokens = config.block_tokens
@@ -153,6 +137,7 @@ def schedule_serving(
     prefix_blocks_wanted = 0
     if config.shared_prefix_tokens >= block_tokens:
         prefix_blocks_wanted = config.shared_prefix_tokens // block_tokens
+    last_arrival = max(request.arrival for request in requests)
     tape = ServingTape(requests=list(requests))
     waiting = deque(requests)
     running: List[_Active] = []     # admission order
@@ -162,14 +147,20 @@ def schedule_serving(
     iteration = 0
     next_order = 0
     idle_passes = 0
+    n_suspends = 0
+    self_preempted = False
+    # States entered after a self-preemption since the last completion.
+    seen: Set[tuple] = set()
 
     def fits(n_blocks: int) -> bool:
-        for book, block_bytes in pools:
-            if book.in_use + n_blocks * block_bytes > book.capacity:
+        for manager in managers:
+            if not manager.can_allocate(n_blocks):
                 return False
         return True
 
     def suspend(state: _Active) -> None:
+        nonlocal n_suspends
+        n_suspends += 1
         rid = state.request.rid
         running.remove(state)
         state.live = False
@@ -180,13 +171,26 @@ def schedule_serving(
             tape.preemptions += 1
             waiting.appendleft(state.request)
             return
-        for s, manager in enumerate(managers):
-            decision = SwapDecision(
-                rid=rid, stage=s, device=devices[s],
-                size=manager.evict_private(rid, clock), out_iteration=iteration)
-            tape.swaps.append(decision)
-            state.open_swaps.append(decision)
-            sink.swap_out(decision)
+        pending = [decision for decision in resumed_swaps if decision.rid == rid]
+        if pending:
+            # Resumed in an idle pass of this same iteration, so nothing
+            # has read its blocks: undo the resume rather than swap the
+            # same bytes out before they are back.
+            for manager in managers:
+                manager.evict_private(rid, clock)
+            for decision in pending:
+                decision.in_iteration = None
+                resumed_swaps.remove(decision)
+            state.open_swaps = pending
+        else:
+            for s, manager in enumerate(managers):
+                decision = SwapDecision(
+                    rid=rid, stage=s, device=devices[s],
+                    size=manager.evict_private(rid, clock),
+                    out_iteration=iteration)
+                tape.swaps.append(decision)
+                state.open_swaps.append(decision)
+                sink.swap_out(decision)
         state.parked_blocks = state.blocks_held - state.prefix_blocks
         state.blocks_held = state.prefix_blocks
         suspended.append(state)
@@ -194,6 +198,24 @@ def schedule_serving(
     for pass_no in range(_MAX_PASSES):
         if not (waiting or running or suspended):
             break
+        if self_preempted and clock >= last_arrival:
+            # Once every request has arrived the clock steers no
+            # decision, so a state that recurs recurs forever.  A loop
+            # without a completion must undo progress, and only a
+            # recompute self-preemption closes one: any other victim
+            # leaves an earlier request that keeps decoding.
+            state_key = (
+                idle_passes,
+                managers[0].has_prefix(_PREFIX_KEY),
+                tuple(request.rid for request in waiting),
+                tuple((state.request.rid, state.context, state.generated,
+                       state.blocks_held, state.prefix_blocks)
+                      for state in running),
+            )
+            if state_key in seen:
+                raise SimulationError(_LIVELOCK)
+            seen.add(state_key)
+        self_preempted = False
         if not running and not suspended and waiting:
             clock = max(clock, waiting[0].arrival)
 
@@ -204,7 +226,7 @@ def schedule_serving(
         decoded: List[_Active] = []
         decode_contexts: List[int] = []
         gate: Optional[float] = None
-        suspensions = len(tape.swaps) + tape.preemptions
+        suspends_before = n_suspends
         resumed_now = False
 
         # 1. Resume suspended requests, strictly FIFO.
@@ -292,6 +314,7 @@ def schedule_serving(
                         break
                     else:
                         suspend(state)
+                        self_preempted = recompute
                         break
                 if stalled or not state.live:
                     continue
@@ -315,14 +338,13 @@ def schedule_serving(
                 tape.total_output_tokens += state.request.output_tokens
                 running.remove(state)
                 state.live = False
+                seen.clear()
 
         if not prefilled and not decoded:
             idle_passes += 1
             if idle_passes > 64:
-                raise SimulationError(
-                    "serving livelock: suspend/resume cycles without progress "
-                    "(shrink shared_prefix_tokens or grow kv_pool_mib)")
-            if resumed_now or len(tape.swaps) + tape.preemptions != suspensions:
+                raise SimulationError(_LIVELOCK)
+            if resumed_now or n_suspends != suspends_before:
                 continue  # suspension/resume made progress, retry
             if waiting and not running:
                 clock = max(clock, waiting[0].arrival)

@@ -5,9 +5,9 @@ stages, with and without a shared prefix, plus a preemption-heavy
 recompute case and a two-stage swap-heavy case, each pinned to the
 last byte: the trace digest, ``metrics.to_json()``, the iteration
 count, every swap decision, every request's completion, and the
-episode's FLOP total.  The d2d-without-spare-GPUs refusal, and the
-livelock that takes precedence over it, are pinned by type and
-message.  Each episode must also pass
+episode's FLOP total.  The d2d-without-spare-GPUs refusal, the
+livelock that takes precedence over it, and a recompute episode that
+repeats itself are pinned by type and message.  Each episode must also pass
 :func:`~repro.sim.audit.audit_simulation` without violations.
 
 Refresh after an *intentional* semantic change with::
@@ -63,14 +63,18 @@ def _matrix():
 CASES = _matrix()
 # Every GPU of the DGX-1 hosts a stage, so a spilling d2d episode has
 # nowhere to stripe its KV; an episode that livelocks first reports
-# the livelock instead.
+# the livelock instead.  Under recompute the same workload has a
+# request that preempts itself, re-prefills and fails again at the
+# same point forever; the repeat is a livelock too.
+LIVELOCK = InferenceConfig(
+    seed=3, n_requests=12, arrival_rate=64.0,
+    prompt_mean=256, prompt_max=512, output_mean=64, output_max=128,
+    max_batch=6, pp=8, kv_pool_mib=40,
+    shared_prefix_tokens=256, shared_prefix_fraction=0.8)
 ERRORS = {
     "d2d-pp8-no-spares": dataclasses.replace(SPILL, pp=8, kv_pool_mib=20),
-    "d2d-pp8-livelock": InferenceConfig(
-        seed=3, n_requests=12, arrival_rate=64.0,
-        prompt_mean=256, prompt_max=512, output_mean=64, output_max=128,
-        max_batch=6, pp=8, kv_pool_mib=40,
-        shared_prefix_tokens=256, shared_prefix_fraction=0.8),
+    "d2d-pp8-livelock": LIVELOCK,
+    "none-pp8-livelock": dataclasses.replace(LIVELOCK, kv_swap="none"),
 }
 
 

@@ -29,6 +29,7 @@ from repro.inference.metrics import compute_metrics
 from repro.models import costs, gpt_variant
 from repro.models.layers import LayerKind
 from repro.runtime.task import trace_digest
+from repro.sim.audit import audit_simulation
 from repro.sim.interpreter import Interpreter
 
 MODEL = gpt_variant(5.3)
@@ -128,6 +129,27 @@ class TestSwapPolicies:
         assert [(s.rid, s.size) for s in tapes["d2d"].swaps] == \
             [(s.rid, s.size) for s in tapes["pcie"].swaps]
 
+    @pytest.mark.parametrize("mode", ["d2d", "pcie"])
+    def test_resume_seen_by_no_compute_is_undone(self, mode):
+        """A request resumed in an idle pass and victimized in the next
+        pass of the same iteration goes back to the suspended queue on
+        its open swap instead of being swapped out a second time."""
+        config = InferenceConfig(
+            seed=20, n_requests=8, arrival_rate=4.0,
+            prompt_mean=256, prompt_max=512, output_mean=64, output_max=128,
+            max_batch=4, kv_pool_mib=250, kv_swap=mode)
+        outcome = serve(config)
+        assert outcome.simulation.ok
+        assert audit_simulation(outcome.simulation).violations == []
+        spans = {}
+        for swap in outcome.tape.swaps:
+            spans.setdefault((swap.rid, swap.stage), []).append(
+                (swap.out_iteration, swap.in_iteration))
+        assert any(len(legs) > 1 for legs in spans.values())
+        for legs in spans.values():
+            for (_, back), (out, _) in zip(legs, legs[1:]):
+                assert back is not None and back <= out
+
     def test_pool_too_small_for_one_request_is_a_config_error(self):
         config = dataclasses.replace(SPILL, kv_pool_mib=8)
         with pytest.raises(ConfigurationError):
@@ -192,11 +214,10 @@ class TestMemoisedPricing:
         for stage in range(pp):
             for prefill_tokens, decode_contexts in batches:
                 for _ in range(2):
-                    assert cost.price_iteration(
-                        stage, prefill_tokens, decode_contexts)[0].hex() == \
+                    assert cost.stage_pricing(stage).price(
+                        prefill_tokens, decode_contexts)[0].hex() == \
                         _per_layer_duration(cost, stage, prefill_tokens,
                                             decode_contexts).hex()
-            assert cost.price_iteration(stage, (), ())[0] == 0.0
 
     @pytest.mark.parametrize("tokens", [0, -3])
     def test_non_positive_tokens_raise_on_every_call(self, tokens):
@@ -206,7 +227,7 @@ class TestMemoisedPricing:
                 with pytest.raises(ConfigurationError):
                     priced(1, tokens)
         with pytest.raises(ConfigurationError):
-            cost.price_iteration(0, (), (tokens,))
+            cost.stage_pricing(0).price((), (tokens,))
 
     def test_out_of_range_stage_is_a_partition_error(self):
         cost = ServingCost(MODEL, SERVER, InferenceConfig(pp=2))
